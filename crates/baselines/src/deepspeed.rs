@@ -8,10 +8,9 @@ use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::PlanError;
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::{simulate_zero3_step, Zero3Config};
-use serde::{Deserialize, Serialize};
 
 /// A concrete DeepSpeed configuration (cf. Table 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeepSpeedConfig {
     /// Data-parallel group count (GPUs / sequence-parallel degree).
     pub dp: usize,

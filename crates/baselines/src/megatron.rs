@@ -10,10 +10,9 @@ use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::{CostModel, ParallelizationPlan, PlanError};
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::TrainingSimulator;
-use serde::{Deserialize, Serialize};
 
 /// A concrete Megatron-LM parallel configuration (cf. Table 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MegatronConfig {
     /// Data-parallel degree.
     pub dp: usize,

@@ -17,10 +17,9 @@ use malleus_cluster::ClusterSnapshot;
 use malleus_core::PlanError;
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::restart_time;
-use serde::{Deserialize, Serialize};
 
 /// How Oobleck handled a change in the straggler situation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OobleckTransition {
     /// The node set did not change; keep training.
     NoChange,
@@ -31,7 +30,7 @@ pub enum OobleckTransition {
 }
 
 /// Outcome of one Oobleck phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OobleckOutcome {
     /// Nodes participating after the transition.
     pub nodes_used: Vec<u32>,

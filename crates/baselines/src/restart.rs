@@ -12,7 +12,6 @@ use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::PlanError;
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::restart_time;
-use serde::{Deserialize, Serialize};
 
 /// Nodes that contain no straggling GPU (rate above `threshold`).
 pub fn nodes_without_stragglers(snapshot: &ClusterSnapshot, threshold: f64) -> Vec<u32> {
@@ -37,7 +36,7 @@ pub fn gpus_on_nodes(snapshot: &ClusterSnapshot, nodes: &[u32]) -> Vec<GpuId> {
 }
 
 /// Which baseline family a restart planner retunes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartFamily {
     /// Megatron-LM (3D parallel).
     Megatron,
@@ -46,7 +45,7 @@ pub enum RestartFamily {
 }
 
 /// Outcome of handling one straggler situation with the restart strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestartOutcome {
     /// Nodes kept in the job.
     pub nodes_used: Vec<u32>,

@@ -5,7 +5,7 @@
 //! Each backend — Malleus, Megatron-LM, DeepSpeed, Oobleck, and the two
 //! restart remediations — starts from the healthy cluster and receives the
 //! same S1–S6 event stream (20 iterations per phase).  Transitions are
-//! replayed through `replan_overlapped_backend`, so each system pays its own
+//! replayed through `replan_overlapped`, so each system pays its own
 //! adaptation costs: Malleus migrates, the restart families checkpoint and
 //! restart, plain Megatron-LM/DeepSpeed grind on with the stale plan.  The
 //! table reports per-situation step times plus the aggregate wall-clock,
@@ -26,7 +26,7 @@ use malleus_bench::{paper_workloads, write_json, JsonValue, PaperWorkload, Scena
 use malleus_cluster::{ClusterSnapshot, PaperSituation};
 use malleus_core::{BackendId, PlanBackend, Planner, PlannerConfig};
 use malleus_model::ProfiledCoefficients;
-use malleus_runtime::replan_overlapped_backend;
+use malleus_runtime::replan_overlapped;
 use malleus_service::{PlanRequest, PlanService, ServiceConfig};
 
 /// Iterations trained in each phase of the event stream.
@@ -125,7 +125,7 @@ fn replay(
             },
             Some(prev) => {
                 let prev_step = prev.estimated_step_time;
-                replan_overlapped_backend(backend, snapshot, prev, prev_step).map(|replan| {
+                replan_overlapped(backend, snapshot, prev, prev_step).map(|replan| {
                     phases.push(PhaseResult {
                         situation: name.clone(),
                         step_time: replan.outcome.estimated_step_time,

@@ -1,8 +1,7 @@
 //! Minimal JSON rendering for the `BENCH_*.json` artifacts.
 //!
-//! The workspace's offline `serde` shim is a no-op marker (no derive-based
-//! serialization exists), so machine-readable experiment output is hand-rolled
-//! here: a tiny JSON value tree plus a renderer.  Non-finite numbers render as
+//! The workspace has no serialization dependency, so machine-readable
+//! experiment output is hand-rolled here: a tiny JSON value tree plus a renderer.  Non-finite numbers render as
 //! `null` — JSON has no NaN/∞, and a partially-degenerate experiment must
 //! still produce a parseable artifact.
 

@@ -1,11 +1,10 @@
 //! Immutable cluster snapshots consumed by the profiler and planner.
 
 use crate::topology::GpuId;
-use serde::{Deserialize, Serialize};
 
 /// A point-in-time view of the cluster topology and the (observed or true)
 /// per-GPU straggling rates.  This is the planner's sole input about hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Number of nodes.
     pub num_nodes: usize,

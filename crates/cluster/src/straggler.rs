@@ -7,10 +7,9 @@
 //! scenarios are numerically comparable to the published plans.
 
 use crate::topology::GpuId;
-use serde::{Deserialize, Serialize};
 
 /// Severity of an injected straggler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StragglerLevel {
     /// One interfering process (x ≈ 2.57).
     Level1,
@@ -57,7 +56,7 @@ impl StragglerLevel {
 }
 
 /// A change in the straggling rate of a single GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerEvent {
     /// The affected GPU.
     pub gpu: GpuId,

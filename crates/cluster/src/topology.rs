@@ -2,10 +2,9 @@
 
 use crate::snapshot::ClusterSnapshot;
 use crate::straggler::StragglerEvent;
-use serde::{Deserialize, Serialize};
 
 /// Globally unique identifier of a GPU (index into the cluster's GPU list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GpuId(pub u32);
 
 impl GpuId {
@@ -22,7 +21,7 @@ impl std::fmt::Display for GpuId {
 }
 
 /// A physical GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gpu {
     /// Global identifier.
     pub id: GpuId,
@@ -33,7 +32,7 @@ pub struct Gpu {
 }
 
 /// A server hosting several GPUs connected by NVLink.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Node index.
     pub index: u32,
@@ -42,7 +41,7 @@ pub struct Node {
 }
 
 /// A GPU cluster with dynamic per-GPU straggling rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     nodes: Vec<Node>,
     gpus: Vec<Gpu>,

@@ -19,10 +19,9 @@ use crate::straggler::StragglerLevel;
 use crate::topology::{Cluster, GpuId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// A named straggler situation: the set of GPUs that deviate from healthy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Situation {
     /// Human-readable name (e.g. `"S3"`).
     pub name: String,
@@ -55,7 +54,7 @@ impl Situation {
 }
 
 /// The paper's canonical situations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperSituation {
     /// No stragglers.
     Normal,
@@ -135,7 +134,7 @@ impl PaperSituation {
 }
 
 /// One phase of a trace: a situation held for a number of training iterations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TracePhase {
     /// The straggler situation active during this phase.
     pub situation: Situation,
@@ -144,7 +143,7 @@ pub struct TracePhase {
 }
 
 /// A full straggler trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Ordered phases.
     pub phases: Vec<TracePhase>,

@@ -11,10 +11,9 @@ use crate::cost::CostModel;
 use crate::plan::{StagePlan, TpGroup};
 use malleus_cluster::ClusterSnapshot;
 use malleus_solver::solve_minmax_allocation;
-use serde::{Deserialize, Serialize};
 
 /// Result of assigning layers to the stages of one pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerAssignment {
     /// The surviving stages (zero-layer stages removed), in pipeline order.
     pub stages: Vec<StagePlan>,

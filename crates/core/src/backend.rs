@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PlanError;
 use crate::plan::ParallelizationPlan;
@@ -38,7 +37,7 @@ pub const DEFAULT_STRAGGLER_THRESHOLD: f64 = 1.05;
 ///
 /// The discriminants are part of the service cache-key format: [`Self::code`]
 /// values must never be reused for a different backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BackendId {
     /// The Malleus straggler-resilient planner (this repo's [`Planner`]).
     Malleus,
@@ -111,7 +110,7 @@ impl std::fmt::Display for BackendId {
 /// A cluster event classified relative to a previous planning outcome, fed to
 /// [`PlanBackend::replan`] so backends can distinguish "keep going, maybe
 /// rebalance" from "a participant died".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
     /// Straggling rates moved, but every previously active GPU is alive.
     StragglerDrift,
@@ -198,13 +197,6 @@ impl ClusterEvent {
         }
         ClusterEvent::StragglerDrift
     }
-
-    /// Whether the event changes cluster structure (availability or
-    /// topology).  Structural events route to full enumeration; drift may
-    /// warm-start the delta replanner.
-    pub fn is_structural(&self) -> bool {
-        !matches!(self, ClusterEvent::StragglerDrift)
-    }
 }
 
 impl std::fmt::Display for ClusterEvent {
@@ -225,7 +217,7 @@ impl std::fmt::Display for ClusterEvent {
 /// describe their configuration in `description` instead.  The Malleus
 /// backend additionally carries its full native [`PlanOutcome`] so the
 /// service's legacy `plan()` entry point stays byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedOutcome {
     /// Which backend produced this outcome.
     pub backend: BackendId,
@@ -389,18 +381,18 @@ impl PlanBackend for Planner {
         &self,
         snapshot: &ClusterSnapshot,
         previous: &PlannedOutcome,
-        event: ClusterEvent,
+        _event: ClusterEvent,
     ) -> Result<PlannedOutcome, PlanError> {
         // Malleus adapts online whatever the event is; migration cost is
-        // priced separately by the runtime/arena via `plan_migration`.
-        // Drift-only events warm-start from the previous outcome's scored
-        // lattice (`replan_delta` re-checks the snapshot diff itself and
-        // falls back to full enumeration if it is structural after all);
-        // structural events go straight to full enumeration.
+        // priced separately by the runtime/arena via `plan_migration`.  The
+        // event is not consulted: it is an outcome-level heuristic (a benched
+        // straggler back under the threshold reads as `Recovery` although
+        // the snapshot diff is drift-only).  `replan_delta` checks the diff
+        // against the previous outcome's scored lattice itself, warm-starts
+        // on drift and falls back to full enumeration on structural change.
         let outcome = match (&previous.malleus, &previous.plan) {
-            (Some(prev), _) if !event.is_structural() => self.replan_delta(snapshot, prev)?,
-            (_, Some(plan)) => Planner::replan(self, snapshot, plan)?,
-            (Some(prev), None) => Planner::replan(self, snapshot, &prev.plan)?,
+            (Some(prev), _) => self.replan_delta(snapshot, prev)?,
+            (None, Some(plan)) => Planner::replan(self, snapshot, plan)?,
             (None, None) => Planner::plan(self, snapshot)?,
         };
         Ok(PlannedOutcome::from_malleus(outcome))
@@ -533,7 +525,6 @@ mod tests {
         c.set_rate(GpuId(5), StragglerLevel::Failed.rate());
         let event = ClusterEvent::classify(&initial, &c.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::Failure);
-        assert!(event.is_structural());
         assert_eq!(
             ClusterEvent::classify_snapshots(&healthy, &c.snapshot()),
             ClusterEvent::Failure
@@ -591,7 +582,6 @@ mod tests {
         let drifted = healthy.with_rate(GpuId(2), DEFAULT_STRAGGLER_THRESHOLD);
         let event = ClusterEvent::classify(&initial, &drifted, DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::StragglerDrift);
-        assert!(!event.is_structural());
         assert_eq!(
             ClusterEvent::classify_snapshots(&healthy, &drifted),
             ClusterEvent::StragglerDrift
@@ -604,6 +594,42 @@ mod tests {
         let direct =
             Planner::replan(&planner, &drifted, initial.plan.as_ref().expect("plan")).unwrap();
         assert_eq!(inner.plan, direct.plan);
+        assert_eq!(
+            inner.estimated_step_time.to_bits(),
+            direct.estimated_step_time.to_bits()
+        );
+        assert_eq!(
+            inner.estimated_step_time_simplified.to_bits(),
+            direct.estimated_step_time_simplified.to_bits()
+        );
+    }
+
+    #[test]
+    fn recovery_of_a_benched_straggler_warm_starts_the_delta_path() {
+        let planner = planner();
+        let mut cluster = Cluster::homogeneous(2, 8);
+        cluster.set_rate(GpuId(3), StragglerLevel::Level8.rate());
+        let benched = cluster.snapshot();
+        let previous = PlanBackend::plan(&planner, &benched, &planner.config.clone()).unwrap();
+        assert!(
+            !previous.active_gpus.contains(&GpuId(3)),
+            "the level-8 straggler must be benched"
+        );
+        // The straggler recovers fully: the outcome-level heuristic calls this
+        // a recovery, but the snapshot diff is drift-only (finite → finite).
+        let recovered = benched.with_rate(GpuId(3), 1.0);
+        let event = ClusterEvent::classify(&previous, &recovered, DEFAULT_STRAGGLER_THRESHOLD);
+        assert_eq!(event, ClusterEvent::Recovery);
+        let basis = previous.malleus.as_ref().unwrap().lattice.as_ref().unwrap();
+        assert!(!basis.structural_change(&recovered));
+
+        let via = PlanBackend::replan(&planner, &recovered, &previous, event).unwrap();
+        let inner = via.malleus.as_ref().unwrap();
+        assert!(inner.lattice.as_ref().unwrap().delta, "memo consulted");
+        let direct =
+            Planner::replan(&planner, &recovered, previous.plan.as_ref().expect("plan")).unwrap();
+        assert_eq!(inner.plan, direct.plan);
+        assert_eq!(inner.dp, direct.dp);
         assert_eq!(
             inner.estimated_step_time.to_bits(),
             direct.estimated_step_time.to_bits()

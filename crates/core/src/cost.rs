@@ -13,10 +13,9 @@
 use crate::plan::{ParallelizationPlan, PipelinePlan, StagePlan};
 use malleus_cluster::ClusterSnapshot;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 /// Summary of a plan's estimated cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostEstimate {
     /// Step time with the exact 1F1B formula (seconds).
     pub step_time_exact: f64,

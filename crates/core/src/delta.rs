@@ -38,7 +38,6 @@ use crate::grouping::GroupingResult;
 use crate::planner::PlanOutcome;
 use malleus_cluster::ClusterSnapshot;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -70,7 +69,7 @@ const MEMO_CAPACITY: usize = 8192;
 const MEMO_BUCKET: usize = 4;
 
 /// One scored point of the candidate lattice (feasible or not).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatticeEntry {
     /// Maximum TP degree of the candidate's grouping.
     pub max_tp: u32,
@@ -89,7 +88,7 @@ pub struct LatticeEntry {
 
 /// The scored candidate lattice of one planning invocation, persisted
 /// alongside the chosen plan so the next replan can warm-start.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredLattice {
     /// The snapshot this lattice was scored against: the basis for
     /// classifying the next event from the snapshot diff.

@@ -1,9 +1,7 @@
 //! Error type shared by the planning modules.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced while deducing or validating a parallelization plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
     /// The cluster has no usable (non-failed) GPUs.
     NoUsableGpus,

@@ -14,7 +14,6 @@
 
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 use crate::plan::TpGroup;
 
@@ -23,7 +22,7 @@ type RatedGroups = Vec<Vec<(GpuId, f64)>>;
 
 /// A grouping result: the TP groups formed over the whole cluster for one
 /// candidate maximum TP degree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupingResult {
     /// The maximum TP degree this result was produced for.
     pub max_tp: u32,

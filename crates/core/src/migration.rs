@@ -12,11 +12,10 @@
 use crate::plan::ParallelizationPlan;
 use malleus_cluster::GpuId;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One model-state slice transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SliceMove {
     /// Model layer the slice belongs to.
     pub layer: u32,
@@ -33,7 +32,7 @@ pub struct SliceMove {
 }
 
 /// The full migration plan between two parallelization plans.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MigrationPlan {
     /// All slice moves (src ≠ dst only).
     pub moves: Vec<SliceMove>,

@@ -17,10 +17,9 @@ use crate::grouping::GroupingResult;
 use crate::plan::TpGroup;
 use malleus_cluster::ClusterSnapshot;
 use malleus_solver::{divide_pipelines_parallel, DivisionProblem};
-use serde::{Deserialize, Serialize};
 
 /// The groups of each pipeline after division (not yet ordered).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineDivision {
     /// For each pipeline, the TP groups assigned to it.
     pub pipelines: Vec<Vec<TpGroup>>,

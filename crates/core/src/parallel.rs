@@ -39,7 +39,6 @@
 use crate::grouping::{group_cluster, GroupingResult};
 use malleus_cluster::ClusterSnapshot;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -50,7 +49,7 @@ use std::time::Duration;
 pub const PARALLELISM_ENV: &str = "MALLEUS_PLANNER_PARALLELISM";
 
 /// Worker-count knob for the candidate-lattice fan-out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Use every available core (`std::thread::available_parallelism`),
     /// honouring the `MALLEUS_PLANNER_PARALLELISM` environment override.

@@ -9,12 +9,11 @@
 
 use crate::error::PlanError;
 use malleus_cluster::{ClusterSnapshot, GpuId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A tensor-parallel group: the set of GPUs that jointly execute one pipeline
 /// stage.  All GPUs of a group reside on the same node (TP is intra-node).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpGroup {
     /// Member GPUs, sorted by descending straggling rate at construction time.
     pub gpus: Vec<GpuId>,
@@ -44,7 +43,7 @@ impl TpGroup {
 
 /// One pipeline stage: a TP group plus the number of contiguous model layers it
 /// executes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     /// The TP group serving this stage.
     pub group: TpGroup,
@@ -53,7 +52,7 @@ pub struct StagePlan {
 }
 
 /// One training pipeline (one model replica).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelinePlan {
     /// Ordered stages (stage 0 holds the embedding, the last stage the LM head).
     pub stages: Vec<StagePlan>,
@@ -102,7 +101,7 @@ impl PipelinePlan {
 }
 
 /// A complete parallelization plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelizationPlan {
     /// The training pipelines (the data-parallel degree is `pipelines.len()`).
     pub pipelines: Vec<PipelinePlan>,

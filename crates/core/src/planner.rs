@@ -24,13 +24,12 @@ use crate::parallel::{fan_out, GroupingCache, Parallelism};
 use crate::plan::{ParallelizationPlan, PipelinePlan, TpGroup};
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Planner configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Global batch size `B` (sequences per step).
     pub global_batch_size: u64,
@@ -112,7 +111,7 @@ impl PlannerConfig {
 /// with a parallel fan-out it exceeds it (measure elapsed time around
 /// `Planner::plan` when wall-clock matters, as the overlapped replanner and
 /// `exp_planning_scalability` do).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanTiming {
     /// GPU grouping (Theorem 1 + splitting enumeration).
     pub grouping: Duration,
@@ -133,7 +132,7 @@ impl PlanTiming {
 }
 
 /// The result of a planning invocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanOutcome {
     /// The selected parallelization plan.
     pub plan: ParallelizationPlan,

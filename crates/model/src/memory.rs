@@ -16,10 +16,9 @@
 //! (sequence parallelism is assumed for activations, as in Megatron-LM).
 
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// Tunable constants of the analytic memory model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModel {
     /// Bytes of retained forward activation per token per hidden unit for one
     /// layer (Megatron-style accounting with FlashAttention ≈ 26–34 bytes).

@@ -10,10 +10,9 @@
 use crate::compute;
 use crate::memory::MemoryModel;
 use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// Hardware characteristics of a (homogeneous) GPU cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareParams {
     /// Peak dense FLOPS of one GPU (bf16), e.g. `312e12` for an A800.
     pub gpu_peak_flops: f64,
@@ -72,7 +71,7 @@ impl Default for HardwareParams {
 }
 
 /// Bundle of all profiled coefficients the planner and simulator need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfiledCoefficients {
     /// Model architecture.
     pub spec: ModelSpec,

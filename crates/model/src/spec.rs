@@ -5,10 +5,8 @@
 //! [`ModelSpec`] captures the architectural hyper-parameters needed to derive
 //! parameter counts, FLOPs and memory footprints analytically.
 
-use serde::{Deserialize, Serialize};
-
 /// Architecture description of a decoder-only transformer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Human-readable name, e.g. `"llama2-70b"`.
     pub name: String,

@@ -12,7 +12,10 @@
 //! [`session::TrainingSession`] drives the full loop over a straggler trace,
 //! with asynchronous (overlapped) re-planning and failure recovery, producing
 //! the per-phase reports the end-to-end experiments (Figure 7 / Table 2) are
-//! built from.
+//! built from.  Every plan and re-plan of a session goes through one
+//! [`malleus_core::PlanBackend`] handle and one [`replan_overlapped`]: the
+//! session's own planner by default, or whatever the last
+//! `with_service` / `with_remote` / `with_backend` call installed.
 
 pub mod executor;
 pub mod profiler;
@@ -21,8 +24,5 @@ pub mod session;
 
 pub use executor::Executor;
 pub use profiler::{Profiler, ProfilerObservation};
-pub use replanner::{
-    replan_overlapped, replan_overlapped_backend, replan_overlapped_incremental,
-    replan_overlapped_shared, BackendReplan, ReplanOutcome,
-};
+pub use replanner::{replan_overlapped, ReplanOutcome, TransportBackend};
 pub use session::{PhaseReport, RuntimeError, SessionReport, TrainingSession};

@@ -11,10 +11,9 @@
 
 use malleus_cluster::ClusterSnapshot;
 use malleus_sim::StepReport;
-use serde::{Deserialize, Serialize};
 
 /// One profiler observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerObservation {
     /// Estimated straggling rate of every GPU.
     pub rates: Vec<f64>,

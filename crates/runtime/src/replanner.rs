@@ -13,33 +13,25 @@
 //! `malleus_core::parallel`, shrinking the window during which a stall can
 //! occur.  The deterministic reduction guarantees the adapted plan is the same
 //! whatever the worker count, so overlap never trades away plan quality.
+//!
+//! The overlapped re-planning step itself is backend-neutral: one
+//! [`replan_overlapped`] drives any [`PlanBackend`].  Sessions planning
+//! through a shared [`PlanTransport`] (the in-process planning service or a
+//! remote plan daemon) use the [`TransportBackend`] adapter, which speaks the
+//! same trait.
+
+use std::sync::Arc;
 
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{
-    BackendId, ClusterEvent, ParallelizationPlan, PlanBackend, PlanError, PlanOutcome,
-    PlannedOutcome, Planner, PlannerConfig, DEFAULT_STRAGGLER_THRESHOLD,
+    BackendId, ClusterEvent, ParallelizationPlan, PlanBackend, PlanError, PlannedOutcome, Planner,
+    PlannerConfig, DEFAULT_STRAGGLER_THRESHOLD,
 };
-use malleus_model::ProfiledCoefficients;
 use malleus_service::{PlanRequest, PlanTransport, ServiceError};
-use serde::{Deserialize, Serialize};
 
 /// Result of an overlapped re-planning round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanOutcome {
-    /// The planner's output.
-    pub outcome: PlanOutcome,
-    /// Wall-clock planning time in seconds.
-    pub planning_time: f64,
-    /// Seconds of training stall not hidden by the overlap (usually zero).
-    pub stall_time: f64,
-    /// Whether the new plan differs from the previous one.
-    pub plan_changed: bool,
-}
-
-/// Result of an overlapped re-planning round through a backend-neutral
-/// [`PlanBackend`] (the trait-path analogue of [`ReplanOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BackendReplan {
     /// The backend's output.
     pub outcome: PlannedOutcome,
     /// Wall-clock planning time in seconds.
@@ -51,8 +43,17 @@ pub struct BackendReplan {
     pub plan_changed: bool,
 }
 
-/// Run the planner for the observed rates, overlapping the planning time with
-/// one training step of `current_step_time` seconds.
+/// Adapt `previous` to the observed snapshot through `backend`, overlapping
+/// the planning time with one training step of `current_step_time` seconds.
+///
+/// The cluster event is classified from the previous outcome's active GPU set
+/// against the observed snapshot ([`ClusterEvent::classify`] with the paper's
+/// 5% threshold), then handed to the backend's `replan`.  The Malleus
+/// [`Planner`] warm-starts from the previous outcome's scored lattice
+/// whenever the snapshot diff is drift-only.  Static backends (plain
+/// Megatron-LM / DeepSpeed) answer failures with `PlanError::CannotAdapt`,
+/// which propagates — the caller decides whether that kills the run (it
+/// does, for them: that is the paper's point).
 ///
 /// The stall computation uses the *wall-clock* time of the `replan` call, not
 /// `PlanTiming::total()`: the per-phase breakdown sums candidate durations
@@ -61,72 +62,18 @@ pub struct BackendReplan {
 /// than one core — and the whole point of overlapped re-planning is that only
 /// elapsed time can stall training.
 pub fn replan_overlapped(
-    planner: &Planner,
-    snapshot: &ClusterSnapshot,
-    previous: &ParallelizationPlan,
-    current_step_time: f64,
-) -> Result<ReplanOutcome, PlanError> {
-    let t0 = std::time::Instant::now();
-    let outcome = planner.replan(snapshot, previous)?;
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan != *previous;
-    Ok(ReplanOutcome {
-        outcome,
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
-}
-
-/// Warm-start (delta) overlapped re-planning: like [`replan_overlapped`], but
-/// threads the previous [`PlanOutcome`] — including its persisted scored
-/// lattice — into [`Planner::replan_delta`], so drift-only events reuse
-/// memoized candidate evaluations instead of re-enumerating the whole
-/// lattice.  Structural events (node loss / node join) and planners with
-/// [`malleus_core::PlannerConfig::incremental`] off fall back to full
-/// enumeration inside `replan_delta`; either way the adapted plan is
-/// byte-identical to what [`replan_overlapped`] would produce.
-pub fn replan_overlapped_incremental(
-    planner: &Planner,
-    snapshot: &ClusterSnapshot,
-    previous: &PlanOutcome,
-    current_step_time: f64,
-) -> Result<ReplanOutcome, PlanError> {
-    let t0 = std::time::Instant::now();
-    let outcome = planner.replan_delta(snapshot, previous)?;
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan != previous.plan;
-    Ok(ReplanOutcome {
-        outcome,
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
-}
-
-/// Overlapped re-planning through an arbitrary [`PlanBackend`] handle.
-///
-/// The cluster event is classified from the previous outcome's active GPU set
-/// against the observed snapshot ([`ClusterEvent::classify`] with the paper's
-/// 5% threshold), then handed to the backend's `replan`.  Static backends
-/// (plain Megatron-LM / DeepSpeed) answer failures with
-/// `PlanError::CannotAdapt`, which propagates — the caller decides whether
-/// that kills the run (it does, for them: that is the paper's point).
-pub fn replan_overlapped_backend(
     backend: &dyn PlanBackend,
     snapshot: &ClusterSnapshot,
     previous: &PlannedOutcome,
     current_step_time: f64,
-) -> Result<BackendReplan, PlanError> {
+) -> Result<ReplanOutcome, PlanError> {
     let t0 = std::time::Instant::now();
     let event = ClusterEvent::classify(previous, snapshot, DEFAULT_STRAGGLER_THRESHOLD);
     let outcome = backend.replan(snapshot, previous, event)?;
     let planning_time = t0.elapsed().as_secs_f64();
     let stall_time = (planning_time - current_step_time).max(0.0);
     let plan_changed = outcome.plan != previous.plan || outcome.active_gpus != previous.active_gpus;
-    Ok(BackendReplan {
+    Ok(ReplanOutcome {
         outcome,
         planning_time,
         stall_time,
@@ -134,67 +81,114 @@ pub fn replan_overlapped_backend(
     })
 }
 
-/// Service-backed overlapped re-planning: like [`replan_overlapped`], but the
-/// planner invocation goes through a shared [`PlanTransport`] — an in-process
-/// [`malleus_service::PlanService`] or a remote
-/// [`malleus_service::PlanClient`] dialing a standalone plan daemon — so N
-/// sessions replanning after the same cluster event (same snapshot, same
-/// coefficients, same configuration, same backend) pay for one planner run
-/// and share the cached plan.
+/// The Malleus planner behind a shared [`PlanTransport`]: an in-process
+/// [`malleus_service::PlanService`] or a [`malleus_service::PlanClient`]
+/// dialing a standalone plan daemon.  N sessions planning after the same
+/// cluster event (same snapshot, coefficients and configuration) pay for one
+/// planner run and share the cached plan.
 ///
-/// For [`BackendId::Malleus`] this mirrors `Planner::replan` exactly: first
-/// request the plan with the previous DP degree pinned (the paper maintains
-/// DP across adjustments, footnote 2); if no feasible plan exists with that
-/// degree, fall back to the unconstrained search.  Other backends are
-/// stateless over the snapshot, so a single `plan_backend` request suffices.
-/// Backpressure ([`ServiceError::Overloaded`]) is *not* treated as
-/// infeasibility — it propagates so the session can back off rather than
-/// silently re-running the expensive fallback.
-pub fn replan_overlapped_shared(
-    transport: &dyn PlanTransport,
-    backend: BackendId,
-    coeffs: &ProfiledCoefficients,
-    config: &PlannerConfig,
-    snapshot: &ClusterSnapshot,
-    previous: &ParallelizationPlan,
-    current_step_time: f64,
-) -> Result<BackendReplan, ServiceError> {
-    let t0 = std::time::Instant::now();
-    let outcome = if backend == BackendId::Malleus {
-        let mut pinned_config = config.clone();
-        pinned_config.fixed_dp = Some(previous.dp());
-        let pinned = PlanRequest::new(coeffs.clone(), snapshot.clone(), pinned_config);
-        match transport.plan_routed(backend, &pinned) {
-            Ok(outcome) => outcome,
-            Err(ServiceError::Plan(_)) => transport.plan_routed(
-                backend,
-                &PlanRequest::new(coeffs.clone(), snapshot.clone(), config.clone()),
-            )?,
-            Err(e) => return Err(e),
-        }
-    } else {
-        transport.plan_routed(
-            backend,
-            &PlanRequest::new(coeffs.clone(), snapshot.clone(), config.clone()),
-        )?
-    };
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan.as_ref() != Some(previous);
-    Ok(BackendReplan {
-        outcome: (*outcome).clone(),
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
+/// `replan` mirrors [`Planner::replan`]: first request the plan with the
+/// previous DP degree pinned (the paper maintains DP across adjustments,
+/// footnote 2); if no feasible plan exists with that degree, request the
+/// unconstrained search.  A planner answer ([`ServiceError::Plan`])
+/// propagates as its [`PlanError`]; every other service error — backpressure,
+/// admission timeout, a broken transport, an internal failure — degrades to
+/// the local `planner`.  Plans are byte-identical on every route, so the
+/// fallback costs only latency.
+#[derive(Debug, Clone)]
+pub struct TransportBackend {
+    transport: Arc<dyn PlanTransport>,
+    planner: Planner,
+}
+
+impl TransportBackend {
+    /// Plan through `transport`, with `planner`'s coefficients and
+    /// configuration, falling back to `planner` itself.
+    pub fn new(transport: Arc<dyn PlanTransport>, planner: Planner) -> Self {
+        Self { transport, planner }
+    }
+
+    fn request(
+        &self,
+        snapshot: &ClusterSnapshot,
+        config: PlannerConfig,
+    ) -> Result<PlannedOutcome, ServiceError> {
+        let request = PlanRequest::new(self.planner.cost.coeffs.clone(), snapshot.clone(), config);
+        let outcome = self.transport.plan_routed(BackendId::Malleus, &request)?;
+        Ok((*outcome).clone())
+    }
+}
+
+/// Propagate a planner answer; run `local` for any other service error.
+fn or_local(
+    served: Result<PlannedOutcome, ServiceError>,
+    local: impl FnOnce() -> Result<PlannedOutcome, PlanError>,
+) -> Result<PlannedOutcome, PlanError> {
+    match served {
+        Ok(outcome) => Ok(outcome),
+        Err(ServiceError::Plan(e)) => Err(e),
+        Err(_) => local(),
+    }
+}
+
+impl PlanBackend for TransportBackend {
+    fn id(&self) -> BackendId {
+        BackendId::Malleus
+    }
+
+    fn fingerprint_config(&self) -> u64 {
+        self.planner.fingerprint_config()
+    }
+
+    fn plan(
+        &self,
+        snapshot: &ClusterSnapshot,
+        config: &PlannerConfig,
+    ) -> Result<PlannedOutcome, PlanError> {
+        or_local(self.request(snapshot, config.clone()), || {
+            PlanBackend::plan(&self.planner, snapshot, config)
+        })
+    }
+
+    fn replan(
+        &self,
+        snapshot: &ClusterSnapshot,
+        previous: &PlannedOutcome,
+        event: ClusterEvent,
+    ) -> Result<PlannedOutcome, PlanError> {
+        let config = &self.planner.config;
+        let pinned = PlannerConfig {
+            fixed_dp: previous
+                .plan
+                .as_ref()
+                .map(ParallelizationPlan::dp)
+                .or(config.fixed_dp),
+            ..config.clone()
+        };
+        let served = match self.request(snapshot, pinned) {
+            Err(ServiceError::Plan(_)) => self.request(snapshot, config.clone()),
+            served => served,
+        };
+        or_local(served, || {
+            PlanBackend::replan(&self.planner, snapshot, previous, event)
+        })
+    }
+
+    fn estimate_step_time(
+        &self,
+        plan: &ParallelizationPlan,
+        snapshot: &ClusterSnapshot,
+    ) -> Option<f64> {
+        self.planner.estimate_step_time(plan, snapshot)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use malleus_cluster::{Cluster, GpuId};
-    use malleus_core::PlannerConfig;
     use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
+    use malleus_service::{PlanService, ServiceConfig};
 
     fn planner() -> Planner {
         Planner::new(
@@ -203,13 +197,48 @@ mod tests {
         )
     }
 
+    /// The healthy 4×8 cluster's plan, as a backend outcome.
+    fn initial(p: &Planner) -> PlannedOutcome {
+        PlannedOutcome::from_malleus(p.plan(&Cluster::homogeneous(4, 8).snapshot()).unwrap())
+    }
+
+    fn snapshot_with(rates: &[(u32, f64)]) -> ClusterSnapshot {
+        let mut cluster = Cluster::homogeneous(4, 8);
+        for &(gpu, rate) in rates {
+            cluster.set_rate(GpuId(gpu), rate);
+        }
+        cluster.snapshot()
+    }
+
+    fn assert_same_plan(ours: &ReplanOutcome, theirs: &malleus_core::PlanOutcome) {
+        let inner = ours.outcome.malleus.as_ref().expect("malleus outcome");
+        assert_eq!(inner.plan, theirs.plan);
+        assert_eq!(inner.dp, theirs.dp);
+        assert_eq!(
+            inner.estimated_step_time.to_bits(),
+            theirs.estimated_step_time.to_bits()
+        );
+    }
+
+    /// A transport that always fails with one fixed error.
+    #[derive(Debug)]
+    struct Failing(ServiceError);
+
+    impl PlanTransport for Failing {
+        fn plan_routed(
+            &self,
+            _: BackendId,
+            _: &PlanRequest,
+        ) -> Result<Arc<PlannedOutcome>, ServiceError> {
+            Err(self.0.clone())
+        }
+    }
+
     #[test]
     fn planning_is_hidden_behind_a_training_step() {
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(0), 5.42);
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 12.0).unwrap();
+        let previous = initial(&p);
+        let replan = replan_overlapped(&p, &snapshot_with(&[(0, 5.42)]), &previous, 12.0).unwrap();
         assert!(replan.plan_changed);
         assert!(
             replan.planning_time < 12.0,
@@ -222,13 +251,12 @@ mod tests {
     #[test]
     fn unchanged_situation_can_keep_the_same_plan() {
         let p = planner();
-        let cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 12.0).unwrap();
+        let previous = initial(&p);
+        let replan = replan_overlapped(&p, &snapshot_with(&[]), &previous, 12.0).unwrap();
         // With identical rates the planner should find a plan no better than
         // the current one; whether the exact plan object matches is not
         // guaranteed, but the estimated time must not regress.
-        assert!(replan.outcome.estimated_step_time <= initial.estimated_step_time * 1.01);
+        assert!(replan.outcome.estimated_step_time <= previous.estimated_step_time * 1.01);
     }
 
     #[test]
@@ -239,54 +267,27 @@ mod tests {
         use malleus_core::Parallelism;
         let serial = planner().with_parallelism(Parallelism::Fixed(1));
         let parallel = planner().with_parallelism(Parallelism::Fixed(4));
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = serial.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(2), 3.75);
-        cluster.set_rate(GpuId(17), f64::INFINITY);
-        let snapshot = cluster.snapshot();
-        let a = replan_overlapped(&serial, &snapshot, &initial.plan, 12.0).unwrap();
-        let b = replan_overlapped(&parallel, &snapshot, &initial.plan, 12.0).unwrap();
-        assert_eq!(a.outcome.plan, b.outcome.plan);
-        assert_eq!(a.outcome.dp, b.outcome.dp);
-        assert_eq!(
-            a.outcome.estimated_step_time.to_bits(),
-            b.outcome.estimated_step_time.to_bits()
-        );
+        let previous = initial(&serial);
+        let snapshot = snapshot_with(&[(2, 3.75), (17, f64::INFINITY)]);
+        let a = replan_overlapped(&serial, &snapshot, &previous, 12.0).unwrap();
+        let b = replan_overlapped(&parallel, &snapshot, &previous, 12.0).unwrap();
+        assert_same_plan(&b, a.outcome.malleus.as_ref().unwrap());
         assert_eq!(a.plan_changed, b.plan_changed);
     }
 
     #[test]
     fn shared_replanning_matches_direct_replanning_and_amortizes_work() {
-        use malleus_service::{PlanService, ServiceConfig};
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(0), 5.42);
-        let snapshot = cluster.snapshot();
-        let direct = replan_overlapped(&p, &snapshot, &initial.plan, 12.0).unwrap();
-        let service = PlanService::new(ServiceConfig::default());
+        let previous = initial(&p);
+        let snapshot = snapshot_with(&[(0, 5.42)]);
+        let direct = replan_overlapped(&p, &snapshot, &previous, 12.0).unwrap();
+        let service = Arc::new(PlanService::new(ServiceConfig::default()));
         // Two tenants replanning after the same cluster event: one planner
         // invocation, bit-identical to the direct path for both.
         for _ in 0..2 {
-            let shared = replan_overlapped_shared(
-                &service,
-                BackendId::Malleus,
-                &p.cost.coeffs,
-                &p.config,
-                &snapshot,
-                &initial.plan,
-                12.0,
-            )
-            .unwrap();
-            assert_eq!(shared.outcome.plan.as_ref(), Some(&direct.outcome.plan));
-            assert_eq!(
-                shared.outcome.plan.as_ref().unwrap().dp(),
-                direct.outcome.dp
-            );
-            assert_eq!(
-                shared.outcome.estimated_step_time.to_bits(),
-                direct.outcome.estimated_step_time.to_bits()
-            );
+            let route = TransportBackend::new(service.clone(), p.clone());
+            let shared = replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap();
+            assert_same_plan(&shared, direct.outcome.malleus.as_ref().unwrap());
             assert_eq!(shared.plan_changed, direct.plan_changed);
         }
         let metrics = service.metrics();
@@ -296,80 +297,99 @@ mod tests {
 
     #[test]
     fn backend_trait_replanning_matches_the_direct_path() {
+        // A GPU failure is structural: the trait path must take full
+        // enumeration and still match the direct replan.
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(0), 5.42);
-        let snapshot = cluster.snapshot();
-        let direct = replan_overlapped(&p, &snapshot, &initial.plan, 12.0).unwrap();
-        let previous = malleus_core::PlannedOutcome::from_malleus(initial);
-        let via_trait = replan_overlapped_backend(&p, &snapshot, &previous, 12.0).unwrap();
-        assert_eq!(via_trait.outcome.plan.as_ref(), Some(&direct.outcome.plan));
+        let previous = initial(&p);
+        let snapshot = snapshot_with(&[(0, 5.42), (9, f64::INFINITY)]);
+        let direct = p
+            .replan(&snapshot, previous.plan.as_ref().unwrap())
+            .unwrap();
+        let via_trait = replan_overlapped(&p, &snapshot, &previous, 12.0).unwrap();
+        let inner = via_trait.outcome.malleus.as_ref().unwrap();
+        assert!(!inner.lattice.as_ref().unwrap().delta, "failure re-enumerates");
+        assert_same_plan(&via_trait, &direct);
         assert_eq!(
-            via_trait.outcome.estimated_step_time.to_bits(),
-            direct.outcome.estimated_step_time.to_bits()
+            via_trait.plan_changed,
+            Some(&direct.plan) != previous.plan.as_ref()
         );
-        assert_eq!(via_trait.plan_changed, direct.plan_changed);
     }
 
     #[test]
     fn shared_replanning_falls_back_when_pinned_dp_is_infeasible() {
-        use malleus_service::{PlanService, ServiceConfig};
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
+        let previous = initial(&p);
         // Fail three of four nodes: the previous DP degree cannot survive and
         // the documented fallback re-opens the DP enumeration.
-        for g in 8..32 {
-            cluster.set_rate(GpuId(g), f64::INFINITY);
-        }
-        let snapshot = cluster.snapshot();
-        let direct = p.replan(&snapshot, &initial.plan).unwrap();
-        let service = PlanService::new(ServiceConfig::default());
-        let shared = replan_overlapped_shared(
-            &service,
-            BackendId::Malleus,
-            &p.cost.coeffs,
-            &p.config,
-            &snapshot,
-            &initial.plan,
-            12.0,
-        )
-        .unwrap();
-        assert_eq!(shared.outcome.plan.as_ref(), Some(&direct.plan));
-        assert_eq!(shared.outcome.plan.as_ref().unwrap().dp(), direct.dp);
+        let failed: Vec<(u32, f64)> = (8..32).map(|g| (g, f64::INFINITY)).collect();
+        let snapshot = snapshot_with(&failed);
+        let direct = p
+            .replan(&snapshot, previous.plan.as_ref().unwrap())
+            .unwrap();
+        let service = Arc::new(PlanService::new(ServiceConfig::default()));
+        let route = TransportBackend::new(service, p.clone());
+        let shared = replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap();
+        assert_same_plan(&shared, &direct);
+    }
+
+    #[test]
+    fn transport_failures_degrade_to_local_planning_and_planner_errors_propagate() {
+        let p = planner();
+        let previous = initial(&p);
+        let snapshot = snapshot_with(&[(0, 5.42)]);
+        let direct = p
+            .replan(&snapshot, previous.plan.as_ref().unwrap())
+            .unwrap();
+        let broken = ServiceError::Transport {
+            reason: "connection reset".into(),
+        };
+        let route = TransportBackend::new(Arc::new(Failing(broken)), p.clone());
+        let degraded = replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap();
+        assert_same_plan(&degraded, &direct);
+        let planned = PlanBackend::plan(&route, &snapshot, &p.config).unwrap();
+        assert_eq!(planned.plan, Some(p.plan(&snapshot).unwrap().plan));
+
+        let route = TransportBackend::new(
+            Arc::new(Failing(ServiceError::Plan(PlanError::NoUsableGpus))),
+            p.clone(),
+        );
+        assert_eq!(
+            replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap_err(),
+            PlanError::NoUsableGpus
+        );
     }
 
     #[test]
     fn incremental_replanning_is_byte_identical_to_full_replanning() {
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(0), 5.42);
-        let snapshot = cluster.snapshot();
+        let previous = initial(&p);
+        let snapshot = snapshot_with(&[(0, 5.42)]);
         // Fresh planner for the full path: its memo never saw the event.
-        let full = replan_overlapped(&planner(), &snapshot, &initial.plan, 12.0).unwrap();
-        let delta = replan_overlapped_incremental(&p, &snapshot, &initial, 12.0).unwrap();
+        let full = planner()
+            .replan(&snapshot, previous.plan.as_ref().unwrap())
+            .unwrap();
+        let delta = replan_overlapped(&p, &snapshot, &previous, 12.0).unwrap();
+        let inner = delta.outcome.malleus.as_ref().unwrap();
         assert!(
-            delta.outcome.lattice.as_ref().unwrap().delta,
+            inner.lattice.as_ref().unwrap().delta,
             "drift-only event must consult the memo"
         );
-        assert_eq!(delta.outcome.plan, full.outcome.plan);
-        assert_eq!(delta.outcome.dp, full.outcome.dp);
+        assert_same_plan(&delta, &full);
         assert_eq!(
-            delta.outcome.estimated_step_time.to_bits(),
-            full.outcome.estimated_step_time.to_bits()
+            inner.estimated_step_time_simplified.to_bits(),
+            full.estimated_step_time_simplified.to_bits()
         );
-        assert_eq!(delta.plan_changed, full.plan_changed);
+        assert_eq!(
+            delta.plan_changed,
+            Some(&full.plan) != previous.plan.as_ref()
+        );
     }
 
     #[test]
     fn stall_is_charged_when_step_time_is_tiny() {
         let p = planner();
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let initial = p.plan(&cluster.snapshot()).unwrap();
-        cluster.set_rate(GpuId(0), 2.57);
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 0.0).unwrap();
+        let previous = initial(&p);
+        let replan = replan_overlapped(&p, &snapshot_with(&[(0, 2.57)]), &previous, 0.0).unwrap();
         assert!(replan.stall_time > 0.0);
         assert!((replan.stall_time - replan.planning_time).abs() < 1e-12);
     }

@@ -12,22 +12,16 @@
 
 use crate::executor::Executor;
 use crate::profiler::Profiler;
-use crate::replanner::{
-    replan_overlapped, replan_overlapped_backend, replan_overlapped_incremental,
-    replan_overlapped_shared, ReplanOutcome,
-};
+use crate::replanner::{replan_overlapped, TransportBackend};
 use malleus_cluster::{Cluster, ClusterSnapshot, Trace};
-use malleus_core::{
-    BackendId, PlanBackend, PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig,
-};
+use malleus_core::{PlanBackend, PlanError, Planner, PlannerConfig};
 use malleus_model::ProfiledCoefficients;
-use malleus_service::{PlanClient, PlanRequest, PlanService, PlanTransport, ServiceError};
+use malleus_service::{PlanClient, PlanService};
 use malleus_sim::restart_time;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Errors produced while driving a training session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
     /// The planner could not produce any feasible plan.
     Planning(String),
@@ -52,14 +46,8 @@ impl From<PlanError> for RuntimeError {
     }
 }
 
-impl From<ServiceError> for RuntimeError {
-    fn from(e: ServiceError) -> Self {
-        RuntimeError::Planning(e.to_string())
-    }
-}
-
 /// Per-phase summary of a session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// Name of the straggler situation (e.g. `"S3"`).
     pub situation: String,
@@ -93,7 +81,7 @@ pub struct PhaseReport {
 }
 
 /// Full session report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// One report per trace phase.
     pub phases: Vec<PhaseReport>,
@@ -120,7 +108,9 @@ impl SessionReport {
 /// A Malleus training session: planner + executor + profiler over a cluster.
 #[derive(Debug, Clone)]
 pub struct TrainingSession {
-    /// The parallelization planner.
+    /// The parallelization planner.  Its coefficients and configuration
+    /// define every planning request; the planning route clones it when the
+    /// session or a `with_service` / `with_remote` route is built.
     pub planner: Planner,
     /// The executor.
     pub executor: Executor,
@@ -128,28 +118,23 @@ pub struct TrainingSession {
     pub profiler: Profiler,
     /// The simulated cluster (true straggling rates live here).
     pub cluster: Cluster,
-    /// Optional shared planning transport: when set, every planner invocation
-    /// (initial plan and re-planning) is routed through it, so concurrent
-    /// sessions planning against the same snapshot share one computation.
-    /// Either an in-process [`PlanService`] or a [`PlanClient`] dialing a
-    /// standalone plan daemon — the session loop cannot tell them apart.
-    service: Option<Arc<dyn PlanTransport>>,
-    /// Optional backend handle: when set, planning and re-planning go through
-    /// this [`PlanBackend`] instead of the built-in Malleus planner, so the
-    /// same session loop drives any of the paper's comparison systems.
-    backend: Option<Arc<dyn PlanBackend>>,
+    /// The planning route: [`TrainingSession::run`] makes every plan and
+    /// re-plan through this handle.  Defaults to a clone of `planner`, which
+    /// shares its grouping cache and candidate memo; the `with_*` builders
+    /// replace it, and the last call wins.
+    route: Arc<dyn PlanBackend>,
 }
 
 impl TrainingSession {
     /// Create a session.
     pub fn new(coeffs: ProfiledCoefficients, config: PlannerConfig, cluster: Cluster) -> Self {
+        let planner = Planner::new(coeffs.clone(), config);
         Self {
-            planner: Planner::new(coeffs.clone(), config),
+            route: Arc::new(planner.clone()),
+            planner,
             executor: Executor::new(coeffs),
             profiler: Profiler::default(),
             cluster,
-            service: None,
-            backend: None,
         }
     }
 
@@ -157,9 +142,11 @@ impl TrainingSession {
     /// (multi-tenant path: N sessions replanning after the same cluster event
     /// pay for one planner invocation).  The produced plans are byte-identical
     /// to the direct path, so session reports differ only in planning
-    /// wall-clock.
+    /// wall-clock.  Service errors other than planner infeasibility degrade
+    /// to the session's own planner (see [`TransportBackend`]).  The last
+    /// `with_*` call wins.
     pub fn with_service(mut self, service: Arc<PlanService>) -> Self {
-        self.service = Some(service);
+        self.route = Arc::new(TransportBackend::new(service, self.planner.clone()));
         self
     }
 
@@ -168,9 +155,10 @@ impl TrainingSession {
     /// [`TrainingSession::with_service`]).  The client's L1 cache sits in
     /// front of the daemon's shared L2, and the wire codec preserves `f64`
     /// bit patterns, so the produced plans — and therefore the session
-    /// reports — are byte-identical to the in-process paths.
+    /// reports — are byte-identical to the in-process paths.  The last
+    /// `with_*` call wins.
     pub fn with_remote(mut self, client: Arc<PlanClient>) -> Self {
-        self.service = Some(client);
+        self.route = Arc::new(TransportBackend::new(client, self.planner.clone()));
         self
     }
 
@@ -178,10 +166,10 @@ impl TrainingSession {
     /// (Malleus itself, or any baseline).  The backend must produce an
     /// executable [`malleus_core::ParallelizationPlan`] (`plan: Some`) —
     /// configuration-only backends like DeepSpeed cannot feed the executor
-    /// and fail with [`RuntimeError::Planning`].  Takes precedence over
-    /// [`TrainingSession::with_service`] for plan computation.
+    /// and fail with [`RuntimeError::Planning`].  The last `with_*` call
+    /// wins.
     pub fn with_backend(mut self, backend: Arc<dyn PlanBackend>) -> Self {
-        self.backend = Some(backend);
+        self.route = backend;
         self
     }
 
@@ -189,90 +177,6 @@ impl TrainingSession {
     /// the simulator's measurements are exact).
     fn observed(&self) -> ClusterSnapshot {
         self.cluster.snapshot()
-    }
-
-    /// Initial planning, optionally via the shared service.
-    ///
-    /// Service backpressure ([`ServiceError::Overloaded`]) is transient and
-    /// must not kill a training session: the session degrades to its own
-    /// direct planner — the plan is byte-identical, it just forgoes the
-    /// shared cache for that one invocation.  Planner infeasibility and
-    /// service-internal failures remain fatal errors.
-    fn plan_initial(&self, snapshot: &ClusterSnapshot) -> Result<PlanOutcome, RuntimeError> {
-        match &self.service {
-            Some(service) => {
-                let request = PlanRequest::new(
-                    self.planner.cost.coeffs.clone(),
-                    snapshot.clone(),
-                    self.planner.config.clone(),
-                );
-                match service.plan_routed(BackendId::Malleus, &request) {
-                    Ok(outcome) => {
-                        let malleus = outcome.malleus.clone().ok_or_else(|| {
-                            RuntimeError::Planning(
-                                "transport returned a non-Malleus outcome on the Malleus route"
-                                    .into(),
-                            )
-                        })?;
-                        Ok((*malleus).clone())
-                    }
-                    Err(ServiceError::Overloaded { .. }) => Ok(self.planner.plan(snapshot)?),
-                    Err(e) => Err(e.into()),
-                }
-            }
-            None => Ok(self.planner.plan(snapshot)?),
-        }
-    }
-
-    /// Overlapped re-planning, optionally via the shared service (with the
-    /// same overload degradation as [`TrainingSession::plan_initial`]).
-    fn replan(
-        &self,
-        snapshot: &ClusterSnapshot,
-        previous: &malleus_core::ParallelizationPlan,
-        current_step_time: f64,
-    ) -> Result<ReplanOutcome, RuntimeError> {
-        match &self.service {
-            Some(service) => {
-                match replan_overlapped_shared(
-                    service.as_ref(),
-                    BackendId::Malleus,
-                    &self.planner.cost.coeffs,
-                    &self.planner.config,
-                    snapshot,
-                    previous,
-                    current_step_time,
-                ) {
-                    Ok(replan) => {
-                        let malleus = replan.outcome.malleus.clone().ok_or_else(|| {
-                            RuntimeError::Planning(
-                                "service returned a non-Malleus outcome on the Malleus route"
-                                    .into(),
-                            )
-                        })?;
-                        Ok(ReplanOutcome {
-                            outcome: (*malleus).clone(),
-                            planning_time: replan.planning_time,
-                            stall_time: replan.stall_time,
-                            plan_changed: replan.plan_changed,
-                        })
-                    }
-                    Err(ServiceError::Overloaded { .. }) => Ok(replan_overlapped(
-                        &self.planner,
-                        snapshot,
-                        previous,
-                        current_step_time,
-                    )?),
-                    Err(e) => Err(e.into()),
-                }
-            }
-            None => Ok(replan_overlapped(
-                &self.planner,
-                snapshot,
-                previous,
-                current_step_time,
-            )?),
-        }
     }
 
     /// Run the session over a trace.
@@ -286,24 +190,15 @@ impl TrainingSession {
         if let Some(first) = trace.phases.first() {
             self.cluster.apply_situation(&first.situation.rates);
         }
-        let initial = match &self.backend {
-            Some(backend) => backend
-                .plan(&self.observed(), &self.planner.config)
-                .map_err(RuntimeError::from)?,
-            None => PlannedOutcome::from_malleus(self.plan_initial(&self.observed())?),
-        };
-        let first_plan = initial.plan.clone().ok_or_else(|| {
+        let mut current = self.route.plan(&self.observed(), &self.planner.config)?;
+        let first_plan = current.plan.clone().ok_or_else(|| {
             RuntimeError::Planning(format!(
                 "{} produced no executable plan for the initial snapshot",
-                initial.backend
+                current.backend
             ))
         })?;
         self.executor.instantiate(first_plan);
-        let mut current = initial.clone();
-        // Direct-path sessions thread the previous outcome (with its scored
-        // candidate lattice) into every re-plan, so drift-only events take the
-        // warm-start delta path instead of full enumeration.
-        let mut last_outcome: Option<PlanOutcome> = current.malleus.as_deref().cloned();
+        let initial_estimate = current.estimated_step_time;
 
         for (index, phase) in trace.phases.iter().enumerate() {
             self.cluster.apply_situation(&phase.situation.rates);
@@ -334,67 +229,36 @@ impl TrainingSession {
             let mut planning_time = 0.0;
             let mut stall_time = 0.0;
             let mut migration_time = 0.0;
-            let mut estimated = initial.estimated_step_time;
+            let mut estimated = initial_estimate;
             if index > 0 || !runnable {
-                let previous = self
-                    .executor
-                    .current_plan()
-                    .expect("executor always holds a plan after instantiate")
-                    .clone();
                 let step = if step_before.is_finite() {
                     step_before
                 } else {
                     0.0
                 };
-                match &self.backend {
-                    Some(backend) => {
-                        let replan =
-                            replan_overlapped_backend(backend.as_ref(), &snapshot, &current, step)
-                                .map_err(RuntimeError::from)?;
-                        replanned = true;
-                        planning_time = replan.planning_time;
-                        stall_time = replan.stall_time;
-                        estimated = replan.outcome.estimated_step_time;
-                        if replan.plan_changed {
-                            let new_plan = replan.outcome.plan.clone().ok_or_else(|| {
-                                RuntimeError::Planning(format!(
-                                    "{} produced no executable plan after the cluster event",
-                                    replan.outcome.backend
-                                ))
-                            })?;
-                            let cost = self.executor.migrate_to(new_plan, &snapshot);
-                            // Backends with their own transition model (restart,
-                            // Oobleck) report the cost they pay; Malleus-style
-                            // live migration is priced by the executor.
-                            migration_time = if replan.outcome.transition_cost > 0.0 {
-                                replan.outcome.transition_cost
-                            } else {
-                                cost.time
-                            };
-                        }
-                        current = replan.outcome;
-                    }
-                    None => {
-                        let replan = match (&self.service, &last_outcome) {
-                            // Direct path with a remembered outcome: delta
-                            // replanning (byte-identical to full enumeration,
-                            // falls back on structural cluster changes).
-                            (None, Some(prev)) => {
-                                replan_overlapped_incremental(&self.planner, &snapshot, prev, step)?
-                            }
-                            _ => self.replan(&snapshot, &previous, step)?,
-                        };
-                        replanned = true;
-                        planning_time = replan.planning_time;
-                        stall_time = replan.stall_time;
-                        estimated = replan.outcome.estimated_step_time;
-                        last_outcome = Some(replan.outcome.clone());
-                        if replan.plan_changed {
-                            let cost = self.executor.migrate_to(replan.outcome.plan, &snapshot);
-                            migration_time = cost.time;
-                        }
-                    }
+                let replan = replan_overlapped(self.route.as_ref(), &snapshot, &current, step)?;
+                replanned = true;
+                planning_time = replan.planning_time;
+                stall_time = replan.stall_time;
+                estimated = replan.outcome.estimated_step_time;
+                if replan.plan_changed {
+                    let new_plan = replan.outcome.plan.clone().ok_or_else(|| {
+                        RuntimeError::Planning(format!(
+                            "{} produced no executable plan after the cluster event",
+                            replan.outcome.backend
+                        ))
+                    })?;
+                    let cost = self.executor.migrate_to(new_plan, &snapshot);
+                    // Backends with their own transition model (restart,
+                    // Oobleck) report the cost they pay; Malleus-style live
+                    // migration is priced by the executor.
+                    migration_time = if replan.outcome.transition_cost > 0.0 {
+                        replan.outcome.transition_cost
+                    } else {
+                        cost.time
+                    };
                 }
+                current = replan.outcome;
             }
 
             // Steady-state steps with the adapted plan.
@@ -605,6 +469,67 @@ mod tests {
     }
 
     #[test]
+    fn session_survives_a_broken_transport_by_planning_locally() {
+        use malleus_core::{BackendId, PlannedOutcome};
+        use malleus_service::{PlanRequest, PlanTransport, ServiceError};
+
+        /// A transport whose every request fails, like a dead daemon.
+        #[derive(Debug)]
+        struct Broken;
+        impl PlanTransport for Broken {
+            fn plan_routed(
+                &self,
+                _: BackendId,
+                _: &PlanRequest,
+            ) -> Result<Arc<PlannedOutcome>, ServiceError> {
+                Err(ServiceError::Transport {
+                    reason: "connection refused".into(),
+                })
+            }
+        }
+
+        let cluster = Cluster::homogeneous(4, 8);
+        let mut failure = PaperSituation::S2.situation(&cluster);
+        failure.rates.push((GpuId(9), f64::INFINITY));
+        let trace = Trace {
+            phases: [
+                PaperSituation::Normal.situation(&cluster),
+                PaperSituation::S2.situation(&cluster),
+                failure,
+                PaperSituation::Normal.situation(&cluster),
+            ]
+            .into_iter()
+            .map(|situation| TracePhase {
+                situation,
+                iterations: 5,
+            })
+            .collect(),
+        };
+        let direct = session(cluster.clone()).run(&trace).expect("direct");
+        let s = session(cluster);
+        let route = TransportBackend::new(Arc::new(Broken), s.planner.clone());
+        let report = s
+            .with_backend(Arc::new(route))
+            .run(&trace)
+            .expect("transport failures must degrade to local planning");
+        assert_eq!(report.phases.len(), direct.phases.len());
+        for (ours, theirs) in report.phases.iter().zip(direct.phases.iter()) {
+            assert_eq!(ours.step_time.to_bits(), theirs.step_time.to_bits());
+            assert_eq!(
+                ours.estimated_step_time.to_bits(),
+                theirs.estimated_step_time.to_bits()
+            );
+            assert_eq!(ours.dp, theirs.dp);
+            assert_eq!(ours.plan_description, theirs.plan_description);
+            assert_eq!(
+                ours.migration_time.to_bits(),
+                theirs.migration_time.to_bits()
+            );
+            assert_eq!(ours.restart_time.to_bits(), theirs.restart_time.to_bits());
+        }
+    }
+
+    #[test]
     fn remote_session_matches_the_direct_session() {
         use malleus_service::{
             ClientConfig, PlanClient, PlanServer, PlanService, ServerConfig, ServiceConfig,
@@ -653,9 +578,11 @@ mod tests {
             ],
         );
         let direct = session(cluster.clone()).run(&trace).expect("direct");
+        // A fresh planner handle: its own grouping cache and candidate memo,
+        // so nothing is shared with the session's default route.
         let s = session(cluster);
-        let handle: Arc<dyn malleus_core::PlanBackend> = Arc::new(s.planner.clone());
-        let mut s = s.with_backend(handle);
+        let handle = Planner::new(s.planner.cost.coeffs.clone(), s.planner.config.clone());
+        let mut s = s.with_backend(Arc::new(handle));
         let via_trait = s.run(&trace).expect("trait");
         assert_eq!(via_trait.phases.len(), direct.phases.len());
         for (ours, theirs) in via_trait.phases.iter().zip(direct.phases.iter()) {

@@ -55,14 +55,13 @@ use malleus_core::{
     PlannedOutcome, Planner, PlannerConfig,
 };
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One tenant's planning request: the profiled coefficients (model spec +
 /// hardware), the observed cluster snapshot, and the planner configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanRequest {
     /// Profiled coefficients (identify the model spec and hardware platform).
     pub coeffs: ProfiledCoefficients,
@@ -261,7 +260,7 @@ fn config_fingerprint(c: &PlannerConfig) -> u64 {
 }
 
 /// Sizing and backpressure knobs of a [`PlanService`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Number of independent cache shards (lock granularity).
     pub shards: usize,
@@ -317,7 +316,7 @@ impl ServiceConfig {
 }
 
 /// Errors returned by [`PlanService::plan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The planner itself failed (no feasible plan, no usable GPUs, ...).
     Plan(PlanError),
@@ -702,8 +701,9 @@ impl PlanService {
     }
 }
 
-/// Transport-agnostic planning surface: the runtime's `TrainingSession`
-/// plans through a `&dyn PlanTransport` and does not care whether the
+/// Transport-agnostic planning surface: the runtime's `TransportBackend`
+/// (a training session's service route) plans through a
+/// `dyn PlanTransport` and does not care whether the
 /// implementation is the in-process [`PlanService`] or a socket-backed
 /// [`PlanClient`] talking to a standalone daemon — both return byte-identical
 /// plans by the service's determinism contract.

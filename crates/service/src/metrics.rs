@@ -9,7 +9,6 @@
 
 use crate::sync::lock_or_poisoned;
 use malleus_core::BackendId;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -144,7 +143,7 @@ impl MetricsRecorder {
 
 /// Per-backend slice of the service counters (only backends that have seen at
 /// least one request appear in [`ServiceMetrics::per_backend`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendMetrics {
     /// Which backend these counters describe.
     pub backend: BackendId,
@@ -172,7 +171,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Point-in-time snapshot of the service's health and cache effectiveness.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceMetrics {
     /// Total requests accepted by [`crate::PlanService::plan`].
     pub requests: u64,

@@ -767,8 +767,8 @@ fn transport_error(what: impl std::fmt::Display) -> ServiceError {
 
 /// Remote handle to a [`PlanServer`].  One persistent connection, serialized
 /// ping-pong framing under a mutex; clone-free sharing via `Arc<PlanClient>`.
-/// Implements [`PlanTransport`], so `TrainingSession::with_remote` and
-/// `replan_overlapped_shared` drive it exactly like an in-process service.
+/// Implements [`PlanTransport`], so `TrainingSession::with_remote` drives it
+/// exactly like an in-process service.
 #[derive(Debug)]
 pub struct PlanClient {
     endpoint: Endpoint,

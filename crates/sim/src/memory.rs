@@ -2,10 +2,9 @@
 
 use malleus_cluster::GpuId;
 use malleus_core::{CostModel, ParallelizationPlan};
-use serde::{Deserialize, Serialize};
 
 /// Peak-memory report for a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryReport {
     /// Peak bytes per GPU, indexed by GPU id (zero for unused GPUs).
     pub peak_bytes: Vec<f64>,
@@ -31,7 +30,7 @@ impl MemoryReport {
 }
 
 /// Error raised when a plan would exceed device memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OomError {
     /// The GPUs that would run out of memory.
     pub gpus: Vec<GpuId>,

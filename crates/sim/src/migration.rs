@@ -11,10 +11,9 @@ use crate::collective::batched_send_recv_time;
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::MigrationPlan;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 /// Cost summary of a migration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Wall-clock migration time in seconds.
     pub time: f64,

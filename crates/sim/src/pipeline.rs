@@ -12,11 +12,10 @@ use crate::collective::p2p_time;
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::plan::PipelinePlan;
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 /// Result of simulating one pipeline for one training step (compute + P2P,
 /// before gradient synchronization).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineResult {
     /// Wall-clock time from the first forward to the last backward.
     pub total_time: f64,

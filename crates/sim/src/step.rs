@@ -8,10 +8,9 @@ use crate::pipeline::PipelineSim;
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{CostModel, ParallelizationPlan};
 use malleus_model::ProfiledCoefficients;
-use serde::{Deserialize, Serialize};
 
 /// Report of one simulated training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// End-to-end step time in seconds.
     pub step_time: f64,

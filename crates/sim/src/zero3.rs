@@ -9,10 +9,9 @@
 
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::{layer_flops_forward, MemoryModel, ProfiledCoefficients};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a ZeRO-3 / FSDP run (cf. Table 7's tuned configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zero3Config {
     /// Ulysses-style sequence-parallel degree (1 = none).
     pub sequence_parallel: u32,
@@ -33,7 +32,7 @@ impl Default for Zero3Config {
 }
 
 /// Result of a simulated ZeRO-3 step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zero3Report {
     /// End-to-end step time in seconds.
     pub step_time: f64,

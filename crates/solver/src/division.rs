@@ -48,11 +48,10 @@
 //!   ranges could skip a candidate that the serial fold would have accepted.
 
 use crate::minmax::solve_minmax_allocation_into;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// Input description of a pipeline-division problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DivisionProblem {
     /// Number of pipelines (the data-parallel degree).
     pub dp: usize,
@@ -98,7 +97,7 @@ impl DivisionProblem {
 }
 
 /// A solution to the pipeline-division problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Division {
     /// Number of fast groups assigned to each pipeline.
     pub fast_per_pipeline: Vec<usize>,
@@ -125,7 +124,7 @@ impl Division {
 }
 
 /// Errors from the division solver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DivisionError {
     /// `dp` was zero.
     ZeroPipelines,

@@ -24,10 +24,8 @@
 //! Every shortcut is bit-for-bit equivalent to the seed implementation kept in
 //! [`crate::reference::solve_minmax_allocation_reference`].
 
-use serde::{Deserialize, Serialize};
-
 /// Errors returned by [`solve_minmax_allocation`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocationError {
     /// No slots were provided but a positive total must be placed.
     NoSlots,
@@ -58,7 +56,7 @@ impl std::fmt::Display for AllocationError {
 impl std::error::Error for AllocationError {}
 
 /// Result of a min-max allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationResult {
     /// Units assigned to each slot (same order as the input weights).
     pub amounts: Vec<u64>,

@@ -1,10 +1,9 @@
 //! `malleus-wire` — hand-rolled length-prefixed binary codec for the
 //! standalone plan server.
 //!
-//! The workspace's offline `serde` shim is a no-op marker (derives compile but
-//! produce no serialization), so the cross-process transport cannot lean on
-//! `serde_json`/`bincode`.  This crate provides an explicit, versioned binary
-//! encoding instead:
+//! The workspace has no serialization dependency (the build is offline, so
+//! `serde_json`/`bincode` are out of reach).  This crate provides an
+//! explicit, versioned binary encoding instead:
 //!
 //! * the [`Wire`] trait — `encode` into an [`Encoder`], `decode` from a
 //!   [`Decoder`] — implemented here for every planner type that travels

@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
     pub use malleus_runtime::{
-        replan_overlapped_backend, replan_overlapped_incremental, replan_overlapped_shared,
-        BackendReplan, Executor, Profiler, SessionReport, TrainingSession,
+        replan_overlapped, Executor, Profiler, ReplanOutcome, SessionReport, TrainingSession,
+        TransportBackend,
     };
     pub use malleus_service::{
         BackendMetrics, ClientConfig, KeyedRequest, L1Stats, PlanClient, PlanRequest, PlanServer,

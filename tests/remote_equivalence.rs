@@ -6,8 +6,8 @@
 //! **byte-identical** to the direct serial `Planner::plan` oracle: same
 //! `ParallelizationPlan`, same chosen TP/DP, bit-equal `f64` cost estimates.
 //! The suite drives one shared TCP daemon across every paper straggler
-//! situation S1–S6, replays chained replans through the `PlanTransport`
-//! route, and exercises the client-side L1 tier (hits, TTL bookkeeping,
+//! situation S1–S6, replays chained replans through the session's transport
+//! route (`TransportBackend` over a `PlanClient`), and exercises the client-side L1 tier (hits, TTL bookkeeping,
 //! drift-based invalidation) plus the Unix-socket transport.
 
 mod common;
@@ -85,35 +85,30 @@ fn socket_plans_match_the_serial_oracle_across_all_situations() {
 
 #[test]
 fn chained_replans_over_the_socket_match_the_direct_path() {
-    // Replay Normal → S2 → S3 → Normal through `replan_overlapped_shared`
-    // driving the remote client as a `PlanTransport`, against the direct
-    // serial replanner threading the same previous plans.
+    // Replay Normal → S2 → S3 → Normal through `replan_overlapped` driving a
+    // `TransportBackend` over the remote client, against the direct serial
+    // replanner threading the same previous plans.
     let spec = ModelSpec::llama2_32b();
-    let client = fresh_client();
     let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let config = common::planner_for(&spec, 64).config;
-    let mut previous = common::oracle_planned(&spec, 64, 4, PaperSituation::Normal)
-        .plan
-        .clone();
+    let route = TransportBackend::new(Arc::new(fresh_client()), common::planner_for(&spec, 64));
+    let mut previous = PlannedOutcome::from_malleus_arc(common::oracle_planned(
+        &spec,
+        64,
+        4,
+        PaperSituation::Normal,
+    ));
     for situation in [
         PaperSituation::S2,
         PaperSituation::S3,
         PaperSituation::Normal,
     ] {
         let snapshot = common::snapshot_for(4, situation);
+        let previous_plan = previous.plan.clone().expect("malleus plan");
         let direct = oracle
-            .replan(&snapshot, &previous)
+            .replan(&snapshot, &previous_plan)
             .unwrap_or_else(|e| panic!("direct replan under {situation:?}: {e}"));
-        let remote = replan_overlapped_shared(
-            &client,
-            BackendId::Malleus,
-            common::coeffs_for(&spec),
-            &config,
-            &snapshot,
-            &previous,
-            12.0,
-        )
-        .unwrap_or_else(|e| panic!("remote replan under {situation:?}: {e}"));
+        let remote = replan_overlapped(&route, &snapshot, &previous, 12.0)
+            .unwrap_or_else(|e| panic!("remote replan under {situation:?}: {e}"));
         assert_eq!(
             remote.outcome.plan.as_ref(),
             Some(&direct.plan),
@@ -124,8 +119,8 @@ fn chained_replans_over_the_socket_match_the_direct_path() {
             direct.estimated_step_time.to_bits(),
             "under {situation:?}"
         );
-        assert_eq!(remote.plan_changed, direct.plan != previous);
-        previous = direct.plan;
+        assert_eq!(remote.plan_changed, direct.plan != previous_plan);
+        previous = remote.outcome;
     }
 }
 

@@ -21,6 +21,11 @@ pub enum PlanError {
     /// A static backend cannot adapt to the observed cluster event (e.g.
     /// Megatron-LM after a participating GPU fails).
     CannotAdapt { backend: String, reason: String },
+    /// A planning service failed outside the planner (a planning thread
+    /// panicked, or it serves no such backend).  A bug or a misconfiguration
+    /// surfacing, never an infeasibility verdict: callers must not answer it
+    /// with a fallback plan.
+    ServiceFailure { reason: String },
 }
 
 impl std::fmt::Display for PlanError {
@@ -48,6 +53,9 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::CannotAdapt { backend, reason } => {
                 write!(f, "{backend}: cannot adapt to the cluster event: {reason}")
+            }
+            PlanError::ServiceFailure { reason } => {
+                write!(f, "planning service failed: {reason}")
             }
         }
     }
@@ -85,5 +93,10 @@ mod tests {
         }
         .to_string()
         .contains("participant failed"));
+        assert!(PlanError::ServiceFailure {
+            reason: "planner panicked".into()
+        }
+        .to_string()
+        .contains("planner panicked"));
     }
 }

@@ -91,10 +91,13 @@ pub fn replan_overlapped(
 /// previous DP degree pinned (the paper maintains DP across adjustments,
 /// footnote 2); if no feasible plan exists with that degree, request the
 /// unconstrained search.  A planner answer ([`ServiceError::Plan`])
-/// propagates as its [`PlanError`]; every other service error — backpressure,
-/// admission timeout, a broken transport, an internal failure — degrades to
-/// the local `planner`.  Plans are byte-identical on every route, so the
-/// fallback costs only latency.
+/// propagates as its [`PlanError`].  Transient service errors — backpressure,
+/// admission timeout, a broken transport — degrade to the local `planner`;
+/// plans are byte-identical on every route, so that fallback costs only
+/// latency.  A service bug or misconfiguration ([`ServiceError::Internal`],
+/// [`ServiceError::UnknownBackend`]) propagates as
+/// [`PlanError::ServiceFailure`]: re-running the planner that just panicked
+/// in the daemon would only move the panic into the session.
 #[derive(Debug, Clone)]
 pub struct TransportBackend {
     transport: Arc<dyn PlanTransport>,
@@ -119,7 +122,8 @@ impl TransportBackend {
     }
 }
 
-/// Propagate a planner answer; run `local` for any other service error.
+/// Propagate a planner answer or a service failure; run `local` for a
+/// transient service error.
 fn or_local(
     served: Result<PlannedOutcome, ServiceError>,
     local: impl FnOnce() -> Result<PlannedOutcome, PlanError>,
@@ -127,7 +131,16 @@ fn or_local(
     match served {
         Ok(outcome) => Ok(outcome),
         Err(ServiceError::Plan(e)) => Err(e),
-        Err(_) => local(),
+        Err(
+            ServiceError::Overloaded { .. }
+            | ServiceError::AdmissionTimeout { .. }
+            | ServiceError::Transport { .. },
+        ) => local(),
+        Err(e @ (ServiceError::Internal { .. } | ServiceError::UnknownBackend { .. })) => {
+            Err(PlanError::ServiceFailure {
+                reason: e.to_string(),
+            })
+        }
     }
 }
 
@@ -307,7 +320,10 @@ mod tests {
             .unwrap();
         let via_trait = replan_overlapped(&p, &snapshot, &previous, 12.0).unwrap();
         let inner = via_trait.outcome.malleus.as_ref().unwrap();
-        assert!(!inner.lattice.as_ref().unwrap().delta, "failure re-enumerates");
+        assert!(
+            !inner.lattice.as_ref().unwrap().delta,
+            "failure re-enumerates"
+        );
         assert_same_plan(&via_trait, &direct);
         assert_eq!(
             via_trait.plan_changed,
@@ -334,20 +350,35 @@ mod tests {
 
     #[test]
     fn transport_failures_degrade_to_local_planning_and_planner_errors_propagate() {
+        use std::time::Duration;
         let p = planner();
         let previous = initial(&p);
         let snapshot = snapshot_with(&[(0, 5.42)]);
         let direct = p
             .replan(&snapshot, previous.plan.as_ref().unwrap())
             .unwrap();
-        let broken = ServiceError::Transport {
-            reason: "connection reset".into(),
-        };
-        let route = TransportBackend::new(Arc::new(Failing(broken)), p.clone());
-        let degraded = replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap();
-        assert_same_plan(&degraded, &direct);
-        let planned = PlanBackend::plan(&route, &snapshot, &p.config).unwrap();
-        assert_eq!(planned.plan, Some(p.plan(&snapshot).unwrap().plan));
+        let planned_direct = Some(p.plan(&snapshot).unwrap().plan);
+        let transient = [
+            ServiceError::Transport {
+                reason: "connection reset".into(),
+            },
+            ServiceError::Overloaded {
+                queue_depth: 4,
+                limit: 4,
+            },
+            ServiceError::AdmissionTimeout {
+                waited: Duration::from_secs(2),
+                timeout: Duration::from_secs(1),
+            },
+        ];
+        for error in transient {
+            let route = TransportBackend::new(Arc::new(Failing(error.clone())), p.clone());
+            let degraded = replan_overlapped(&route, &snapshot, &previous, 12.0)
+                .unwrap_or_else(|e| panic!("{error:?} must degrade: {e}"));
+            assert_same_plan(&degraded, &direct);
+            let planned = PlanBackend::plan(&route, &snapshot, &p.config).unwrap();
+            assert_eq!(planned.plan, planned_direct);
+        }
 
         let route = TransportBackend::new(
             Arc::new(Failing(ServiceError::Plan(PlanError::NoUsableGpus))),
@@ -357,6 +388,30 @@ mod tests {
             replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap_err(),
             PlanError::NoUsableGpus
         );
+
+        // A service bug or misconfiguration is not masked by local planning.
+        let failures = [
+            ServiceError::Internal {
+                reason: "planning thread panicked".into(),
+            },
+            ServiceError::UnknownBackend {
+                backend: BackendId::Malleus,
+            },
+        ];
+        for error in failures {
+            let expected = PlanError::ServiceFailure {
+                reason: error.to_string(),
+            };
+            let route = TransportBackend::new(Arc::new(Failing(error)), p.clone());
+            assert_eq!(
+                replan_overlapped(&route, &snapshot, &previous, 12.0).unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                PlanBackend::plan(&route, &snapshot, &p.config).unwrap_err(),
+                expected
+            );
+        }
     }
 
     #[test]

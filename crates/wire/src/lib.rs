@@ -924,6 +924,10 @@ impl Wire for PlanError {
                 e.put_str(backend);
                 e.put_str(reason);
             }
+            PlanError::ServiceFailure { reason } => {
+                e.put_u8(7);
+                e.put_str(reason);
+            }
         }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -946,6 +950,9 @@ impl Wire for PlanError {
             }),
             6 => Ok(PlanError::CannotAdapt {
                 backend: d.get_str()?,
+                reason: d.get_str()?,
+            }),
+            7 => Ok(PlanError::ServiceFailure {
                 reason: d.get_str()?,
             }),
             tag => Err(WireError::UnknownTag {

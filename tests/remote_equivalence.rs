@@ -7,8 +7,9 @@
 //! `ParallelizationPlan`, same chosen TP/DP, bit-equal `f64` cost estimates.
 //! The suite drives one shared TCP daemon across every paper straggler
 //! situation S1–S6, replays chained replans through the session's transport
-//! route (`TransportBackend` over a `PlanClient`), and exercises the client-side L1 tier (hits, TTL bookkeeping,
-//! drift-based invalidation) plus the Unix-socket transport.
+//! route (`TransportBackend` over a `PlanClient` that fails the test on any
+//! socket error), and exercises the client-side L1 tier (hits, TTL
+//! bookkeeping, drift-based invalidation) plus the Unix-socket transport.
 
 mod common;
 
@@ -41,6 +42,31 @@ fn daemon() -> &'static (Arc<PlanService>, PlanServer) {
 fn fresh_client() -> PlanClient {
     let addr = daemon().1.tcp_addr().expect("tcp endpoint");
     PlanClient::connect_tcp(addr, ClientConfig::default()).expect("connect plan client")
+}
+
+/// A transport that panics on any error other than a planner answer.
+/// [`TransportBackend`] re-plans locally on transient errors, and local plans
+/// are byte-identical to served ones, so without this wrapper a failing
+/// socket would still match the oracle.  `ServiceError::Plan` passes: it is
+/// the adapter's pinned-DP probe coming back infeasible.
+#[derive(Debug)]
+struct Strict(PlanClient);
+
+impl PlanTransport for Strict {
+    fn plan_routed(
+        &self,
+        backend: BackendId,
+        request: &PlanRequest,
+    ) -> Result<Arc<PlannedOutcome>, ServiceError> {
+        let served = self.0.plan_routed(backend, request);
+        if let Err(e) = &served {
+            assert!(
+                matches!(e, ServiceError::Plan(_)),
+                "socket request failed: {e}"
+            );
+        }
+        served
+    }
 }
 
 fn request_for(spec: &ModelSpec, nodes: u32, situation: PaperSituation) -> PlanRequest {
@@ -87,10 +113,14 @@ fn socket_plans_match_the_serial_oracle_across_all_situations() {
 fn chained_replans_over_the_socket_match_the_direct_path() {
     // Replay Normal → S2 → S3 → Normal through `replan_overlapped` driving a
     // `TransportBackend` over the remote client, against the direct serial
-    // replanner threading the same previous plans.
+    // replanner threading the same previous plans.  Every request must be
+    // answered over the socket (`Strict`), not by the local fallback.
     let spec = ModelSpec::llama2_32b();
     let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let route = TransportBackend::new(Arc::new(fresh_client()), common::planner_for(&spec, 64));
+    let route = TransportBackend::new(
+        Arc::new(Strict(fresh_client())),
+        common::planner_for(&spec, 64),
+    );
     let mut previous = PlannedOutcome::from_malleus_arc(common::oracle_planned(
         &spec,
         64,

@@ -16,7 +16,7 @@ use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::plan::TpGroup;
 use malleus_cluster::ClusterSnapshot;
-use malleus_solver::{divide_pipelines_parallel, DivisionProblem};
+use malleus_solver::{divide_pipelines, DivisionProblem};
 
 /// The groups of each pipeline after division (not yet ordered).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,10 +35,9 @@ const RATE_TOLERANCE: f64 = 1e-6;
 /// baselines) every pipeline receives the same number of groups, assigned
 /// round-robin by descending rate so slow groups still spread out.
 ///
-/// `division_workers` bounds the threads the Eq. (4) search may use *within*
-/// this one division (the result is byte-identical at any value; pass 1 for
-/// strictly sequential solving, e.g. when the caller already saturates the
-/// cores with candidate-level fan-out).
+/// The last argument is ignored: the Eq. (4) search is sequential.  It stays
+/// in the signature because the repository benchmark (`perfbench/`) calls
+/// this function with it.
 #[allow(clippy::too_many_arguments)]
 pub fn divide_groups(
     cost: &CostModel,
@@ -48,7 +47,7 @@ pub fn divide_groups(
     total_micro_batches: u64,
     micro_batch_size: u64,
     nonuniform_stages: bool,
-    division_workers: usize,
+    _workers: usize,
 ) -> Result<PipelineDivision, PlanError> {
     let groups = &grouping.groups;
     if dp == 0 || groups.len() < dp {
@@ -102,10 +101,8 @@ pub fn divide_groups(
         slow_rates,
         total_micro_batches,
     );
-    let division = divide_pipelines_parallel(&problem, division_workers.max(1)).map_err(|e| {
-        PlanError::NoFeasiblePlan {
-            reason: format!("pipeline division failed: {e}"),
-        }
+    let division = divide_pipelines(&problem).map_err(|e| PlanError::NoFeasiblePlan {
+        reason: format!("pipeline division failed: {e}"),
     })?;
 
     let mut pipelines: Vec<Vec<TpGroup>> = vec![Vec::new(); dp];

@@ -419,12 +419,7 @@ impl Planner {
     /// assignment, data assignment, validation, and cost estimation.  Entirely
     /// self-contained — no shared mutable state — so candidates can run on any
     /// worker thread.
-    fn evaluate_candidate(
-        &self,
-        snapshot: &ClusterSnapshot,
-        cand: &Candidate,
-        division_workers: usize,
-    ) -> CandidateEval {
+    fn evaluate_candidate(&self, snapshot: &ClusterSnapshot, cand: &Candidate) -> CandidateEval {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
         let (max_tp, dp, b) = (cand.max_tp, cand.dp, cand.micro_batch);
         let total_micro_batches = self.config.global_batch_size / b;
@@ -445,7 +440,7 @@ impl Planner {
             total_micro_batches,
             b,
             cand.nonuniform_division,
-            division_workers,
+            1,
         ) {
             Ok(d) => d,
             Err(e) => {
@@ -669,23 +664,10 @@ impl Planner {
         // unchanged since a previous invocation is served from the memo —
         // bitwise what a fresh evaluation would produce — and every fresh
         // evaluation is memoized for the next event.
-        //
-        // When the lattice is narrower than the worker budget, the leftover
-        // threads go *inside* each candidate's division search (the dominant
-        // cost).  Division results are worker-count-invariant, so this is
-        // invisible to the memo and to the serial oracle.
-        let division_workers = if candidates.is_empty() || candidates.len() >= workers {
-            1
-        } else {
-            workers / candidates.len()
-        };
         let evals: Vec<(CandidateEval, bool)> = fan_out(candidates.len(), workers, |i| {
             let cand = &candidates[i];
             if !memoize {
-                return (
-                    self.evaluate_candidate(snapshot, cand, division_workers),
-                    false,
-                );
+                return (self.evaluate_candidate(snapshot, cand), false);
             }
             let inputs = self.candidate_inputs(snapshot, cand, &rate_bits);
             let key = inputs.fingerprint();
@@ -701,7 +683,7 @@ impl Planner {
                     );
                 }
             }
-            let eval = self.evaluate_candidate(snapshot, cand, division_workers);
+            let eval = self.evaluate_candidate(snapshot, cand);
             self.candidate_memo.insert(
                 key,
                 &inputs,
@@ -920,6 +902,27 @@ mod tests {
         let outcome = p.plan(&cluster.snapshot()).expect("plan");
         assert!(!outcome.plan.active_gpus().contains(&GpuId(5)));
         assert!(outcome.plan.removed_gpus.contains(&GpuId(5)));
+    }
+
+    #[test]
+    fn extreme_straggler_rate_plans_like_a_large_one() {
+        // At a rate of 1e80 the min-max threshold search ends far above its
+        // optimum (the weight ratio is too wide for its halving budget); the
+        // solver must still terminate.  Such a GPU carries no work either
+        // way, so the plan must equal the one at 1e60.
+        let p = planner(ModelSpec::llama2_7b(), 64);
+        let plan_at = |rate: f64| {
+            let mut cluster = Cluster::homogeneous(2, 8);
+            cluster.set_rate(GpuId(3), rate);
+            p.plan(&cluster.snapshot()).expect("plan")
+        };
+        let extreme = plan_at(1e80);
+        let large = plan_at(1e60);
+        assert_eq!(extreme.plan, large.plan);
+        assert_eq!(
+            extreme.estimated_step_time.to_bits(),
+            large.estimated_step_time.to_bits()
+        );
     }
 
     #[test]

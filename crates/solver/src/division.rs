@@ -22,30 +22,15 @@
 //!
 //! # Hot-path structure
 //!
-//! This is where the planner spends essentially all of its time (the smoke
-//! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around three ideas, each proven byte-identical to the frozen
-//! seed implementation in [`crate::reference`]:
-//!
-//! * **Scratch arena** ([`DivisionScratch`]): every buffer the per-candidate
-//!   scoring needs (counts, capacities, weights, micro-batch amounts) lives in
-//!   flat reusable vectors sized by `dp`/`ms`, so the steady-state loop
-//!   performs zero heap allocations.
-//! * **Incremental enumeration**: advancing the mixed-radix assignment counter
-//!   updates `slow_counts` exactly (±1) and recomputes the slow capacity of
-//!   only the touched pipelines — by re-folding their `1/y_k` contributions in
-//!   ascending-`k` order, which reproduces the seed's per-slot summation order
-//!   bit for bit.
-//! * **Bound pruning and intra-candidate parallelism**: the relaxed optimum
-//!   `M / Σ_i W_i` is an assignment-invariant lower bound; once the incumbent
-//!   objective reaches it (modulo a margin strictly larger than the float
-//!   noise), no remaining candidate can pass the strict-improvement test, so
-//!   enumeration stops early.  Large searches are split across scoped worker
-//!   threads which record each candidate's objective bits into an index-ordered
-//!   array; a serial index-order fold then reproduces the exact tie-breaking of
-//!   the sequential loop at any worker count (the PR 2 reduction discipline).
-//!   Workers prune only on their *own* fold — sharing an incumbent across
-//!   ranges could skip a candidate that the serial fold would have accepted.
+//! This is where the planner spends essentially all of its time, so the
+//! per-candidate scoring is allocation-free: every buffer it needs (counts,
+//! capacities, weights, micro-batch amounts) lives in the thread-local
+//! `DivisionScratch` arena, sized by `dp`/`ms` and reused across calls.
+//! Fast-group capacities come from a prefix table built by the seed's own
+//! repeated addition.  Everything else follows the frozen seed in
+//! [`crate::reference`] step for step, and the results are bit-identical to it.
+//! Most of the remaining speed comes from the min-max allocator's threshold
+//! memo (see [`crate::minmax`]).
 
 use crate::minmax::solve_minmax_allocation_into;
 use std::cell::RefCell;
@@ -146,13 +131,6 @@ impl std::fmt::Display for DivisionError {
 
 impl std::error::Error for DivisionError {}
 
-/// Parallel enumeration only pays off when there is enough work per thread.
-const PARALLEL_MIN_SEARCH: u64 = 4096;
-/// Cap on the index-ordered objective array the parallel reduction fills
-/// (8 bytes per candidate; the exact-enumeration limit keeps us under this
-/// in practice, the constant is a second belt).
-const PARALLEL_MAX_SEARCH: u64 = 1 << 20;
-
 /// Reusable flat buffers for the division search.
 ///
 /// All vectors are sized by `dp`, `ms` (= number of slow groups) or
@@ -187,10 +165,6 @@ struct DivisionScratch {
     slow_units: Vec<f64>,
     /// `1/ŷ` under the greedy distribution's validity test, else `0.0`.
     fast_unit: f64,
-    /// Pipelines whose slow capacity must be re-folded after a counter step.
-    touched: Vec<usize>,
-    /// Dense membership mask for `touched`, length `dp`.
-    touched_mask: Vec<bool>,
     /// Slow-group visit order for the local-search seeding, length `ms`.
     order: Vec<usize>,
 }
@@ -221,10 +195,6 @@ impl DivisionScratch {
         self.capacities.resize(dp, 0.0);
         self.weights.clear();
         self.weights.resize(dp, 0.0);
-        self.touched.clear();
-        self.touched.reserve(dp);
-        self.touched_mask.clear();
-        self.touched_mask.resize(dp, false);
         self.order.clear();
 
         self.fast_unit = if problem.fast_rate > 0.0 && problem.fast_rate.is_finite() {
@@ -232,20 +202,16 @@ impl DivisionScratch {
         } else {
             0.0
         };
-        // `harmonic_capacity` filters on `is_finite && > 0` and left-folds the
-        // reciprocals; `fast_prefix[h]` reproduces that fold for `h` copies of
-        // the fast rate by the same repeated addition.
-        let fast_contrib = if problem.fast_rate.is_finite() && problem.fast_rate > 0.0 {
-            1.0 / problem.fast_rate
-        } else {
-            0.0
-        };
+        // `harmonic_capacity` filters on `is_finite && > 0` (the same test as
+        // `fast_unit`) and left-folds the reciprocals; `fast_prefix[h]`
+        // reproduces that fold for `h` copies of the fast rate by the same
+        // repeated addition.
         self.fast_prefix.clear();
         self.fast_prefix.reserve(problem.fast_count + 1);
         let mut acc = 0.0_f64;
         self.fast_prefix.push(acc);
         for _ in 0..problem.fast_count {
-            acc += fast_contrib;
+            acc += self.fast_unit;
             self.fast_prefix.push(acc);
         }
         self.slow_units.clear();
@@ -256,24 +222,6 @@ impl DivisionScratch {
                 0.0
             }
         }));
-    }
-
-    /// Assignment-invariant lower bound on the objective: the total capacity
-    /// `Σ_i W_i` does not depend on where the groups land, so no candidate can
-    /// beat `M / Σ_i W_i` (the relaxed optimum).  Shrunk by a relative margin
-    /// far above the float noise of any per-candidate fold so pruning on it can
-    /// never reject a candidate the exact fold would have accepted.
-    fn lower_bound(&self, problem: &DivisionProblem) -> f64 {
-        let total_capacity =
-            self.fast_prefix[problem.fast_count] + self.slow_units.iter().sum::<f64>();
-        if !(total_capacity.is_finite() && total_capacity > 0.0) {
-            return f64::NEG_INFINITY;
-        }
-        let lb = problem.num_micro_batches as f64 / total_capacity;
-        if !lb.is_finite() {
-            return f64::NEG_INFINITY;
-        }
-        lb * (1.0 - 1e-9)
     }
 
     /// Derive `slow_counts`/`slow_capacity` from `assignment` from scratch
@@ -287,102 +235,25 @@ impl DivisionScratch {
         }
     }
 
-    /// Overwrite `assignment` with the mixed-radix decoding of `idx`
-    /// (digit `k` is the least significant after `k` divisions, matching the
-    /// enumeration counter which increments position 0 first).
-    fn set_counter(&mut self, mut idx: u64, dp: usize) {
-        let radix = dp as u64;
-        for slot in self.assignment.iter_mut() {
-            *slot = (idx % radix) as usize;
-            idx /= radix;
-        }
-    }
-
-    /// Decode `idx` straight into `best_assignment` (used by the parallel
-    /// reduction, whose winner is identified by candidate index).
-    fn decode_best(&mut self, mut idx: u64, dp: usize) {
-        let radix = dp as u64;
-        for slot in self.best_assignment.iter_mut() {
-            *slot = (idx % radix) as usize;
-            idx /= radix;
-        }
-    }
-
-    fn mark_touched(&mut self, p: usize) {
-        if !self.touched_mask[p] {
-            self.touched_mask[p] = true;
-            self.touched.push(p);
-        }
-    }
-
-    /// Re-fold the slow capacities of the touched pipelines in ascending-`k`
-    /// order — bit-identical to rebuilding them from scratch — then clear the
-    /// touched set.
-    fn recompute_touched_capacities(&mut self) {
-        for &t in &self.touched {
-            self.slow_capacity[t] = 0.0;
-        }
-        for (&p, &u) in self.assignment.iter().zip(self.slow_units.iter()) {
-            if self.touched_mask[p] {
-                self.slow_capacity[p] += u;
-            }
-        }
-        for &t in &self.touched {
-            self.touched_mask[t] = false;
-        }
-        self.touched.clear();
-    }
-
-    /// Advance the mixed-radix counter by one, incrementally maintaining
-    /// `slow_counts` and `slow_capacity`.  Returns `false` when the counter
+    /// Advance the mixed-radix counter by one (position 0 first, the seed's
+    /// order) and re-derive the slot state.  Returns `false` when the counter
     /// wraps (enumeration exhausted).
     fn advance(&mut self, dp: usize) -> bool {
-        let ms = self.assignment.len();
-        let mut pos = 0;
-        loop {
-            if pos == ms {
-                break;
-            }
-            let old = self.assignment[pos];
-            self.mark_touched(old);
-            let next = old + 1;
-            if next < dp {
-                self.assignment[pos] = next;
-                self.mark_touched(next);
-                self.slow_counts[old] -= 1;
-                self.slow_counts[next] += 1;
-                break;
+        for pos in 0..self.assignment.len() {
+            self.assignment[pos] += 1;
+            if self.assignment[pos] < dp {
+                self.init_slots();
+                return true;
             }
             self.assignment[pos] = 0;
-            self.mark_touched(0);
-            self.slow_counts[old] -= 1;
-            self.slow_counts[0] += 1;
-            pos += 1;
         }
-        if pos == ms {
-            for &t in &self.touched {
-                self.touched_mask[t] = false;
-            }
-            self.touched.clear();
-            return false;
-        }
-        self.recompute_touched_capacities();
-        true
+        false
     }
 
-    /// Reassign slow group `k` to pipeline `p` (local-search move),
-    /// incrementally maintaining the slot state.
+    /// Reassign slow group `k` to pipeline `p` (local-search move).
     fn move_digit(&mut self, k: usize, p: usize) {
-        let old = self.assignment[k];
-        if old == p {
-            return;
-        }
         self.assignment[k] = p;
-        self.slow_counts[old] -= 1;
-        self.slow_counts[p] += 1;
-        self.mark_touched(old);
-        self.mark_touched(p);
-        self.recompute_touched_capacities();
+        self.init_slots();
     }
 
     /// Score the current assignment: distribute the fast groups greedily,
@@ -414,44 +285,17 @@ impl DivisionScratch {
         {
             *g = s + f as f64 * unit;
         }
-        // The seed re-scanned all `dp` slots for every fast group.  The argmin
-        // (`min_by(total_cmp)`, first among ties) is the lexicographic minimum
-        // of `(level, slot)`; assigning a unit only changes the winner's level,
-        // so the winner keeps winning — no rescan — until its updated `(level,
-        // slot)` pair stops comparing below the runner-up from the last scan.
-        while remaining > 0 {
-            let mut imin = 0usize;
-            let mut min_lvl = self.greedy_capacity[0];
-            let mut isec = usize::MAX;
-            let mut sec_lvl = f64::INFINITY;
-            for (i, &l) in self.greedy_capacity.iter().enumerate().skip(1) {
-                if l.total_cmp(&min_lvl) == std::cmp::Ordering::Less {
-                    isec = imin;
-                    sec_lvl = min_lvl;
-                    imin = i;
-                    min_lvl = l;
-                } else if l.total_cmp(&sec_lvl) == std::cmp::Ordering::Less {
-                    isec = i;
-                    sec_lvl = l;
-                }
-            }
-            loop {
-                self.fast[imin] += 1;
-                self.greedy_capacity[imin] += unit;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-                let l = self.greedy_capacity[imin];
-                let still_winner = match l.total_cmp(&sec_lvl) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => imin < isec,
-                    std::cmp::Ordering::Greater => false,
-                };
-                if !still_winner {
-                    break;
-                }
-            }
+        // One argmin rescan per fast group (`min_by` keeps the first among
+        // ties), as in the seed.
+        for _ in 0..remaining {
+            let (imin, _) = self
+                .greedy_capacity
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .expect("dp >= 1 is validated at entry");
+            self.fast[imin] += 1;
+            self.greedy_capacity[imin] += unit;
         }
         // Canonical capacities in the seed's `evaluate` fold order: all fast
         // contributions first (prefix table), then slow groups ascending in k.
@@ -498,25 +342,13 @@ impl DivisionScratch {
     }
 }
 
-/// Sequential exact enumeration with incremental counter maintenance and
-/// lower-bound early exit.  Expects `prepare` + `init_slots` to have run.
-/// Returns whether any feasible candidate was found; the winner is left in
-/// `scratch.best_assignment`.
-fn enumerate_serial(
-    scratch: &mut DivisionScratch,
-    problem: &DivisionProblem,
-    min_groups: usize,
-    lb: f64,
-) -> bool {
+/// Exact enumeration over every slow-group assignment.  Expects `prepare` +
+/// `init_slots` to have run.  Returns whether any feasible candidate was
+/// found; the winner is left in `scratch.best_assignment`.
+fn enumerate(scratch: &mut DivisionScratch, problem: &DivisionProblem, min_groups: usize) -> bool {
     let mut have = false;
     let mut best = 0.0_f64;
     loop {
-        // Once the incumbent touches the relaxed optimum no candidate can pass
-        // `obj < best - 1e-12` (every objective is >= the margined bound), so
-        // the holes this break leaves behind cannot change the fold result.
-        if have && best <= lb {
-            break;
-        }
         let obj = scratch.score_current(problem, min_groups);
         if !obj.is_nan() && (!have || obj < best - 1e-12) {
             have = true;
@@ -530,76 +362,6 @@ fn enumerate_serial(
     have
 }
 
-/// Parallel exact enumeration: the counter range is split into contiguous
-/// chunks, each worker records its candidates' objective bits into an
-/// index-ordered array (NaN = infeasible or locally pruned), and a serial
-/// index-order fold picks the winner with the exact tie-breaking of the
-/// sequential loop.  Workers prune only on their own local incumbent, which is
-/// safe for the same reason the serial early-exit is.
-fn enumerate_parallel(
-    problem: &DivisionProblem,
-    min_groups: usize,
-    lb: f64,
-    search_space: u64,
-    workers: usize,
-) -> Option<u64> {
-    let n = search_space as usize;
-    let mut bits = vec![f64::NAN.to_bits(); n];
-    let workers_eff = workers.min(n).max(1);
-    let base = n / workers_eff;
-    let rem = n % workers_eff;
-    std::thread::scope(|s| {
-        let mut rest: &mut [u64] = &mut bits;
-        let mut start = 0_usize;
-        for w in 0..workers_eff {
-            let len = base + usize::from(w < rem);
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let chunk_start = start;
-            start += len;
-            s.spawn(move || {
-                let mut scratch = DivisionScratch::default();
-                scratch.prepare(problem);
-                scratch.set_counter(chunk_start as u64, problem.dp);
-                scratch.init_slots();
-                let mut have = false;
-                let mut local_best = 0.0_f64;
-                for out in chunk.iter_mut() {
-                    if have && local_best <= lb {
-                        break;
-                    }
-                    let obj = scratch.score_current(problem, min_groups);
-                    if !obj.is_nan() {
-                        *out = obj.to_bits();
-                        if !have || obj < local_best - 1e-12 {
-                            have = true;
-                            local_best = obj;
-                        }
-                    }
-                    if !scratch.advance(problem.dp) {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    let mut best: Option<(u64, f64)> = None;
-    for (idx, &b) in bits.iter().enumerate() {
-        let obj = f64::from_bits(b);
-        if obj.is_nan() {
-            continue;
-        }
-        let accept = match best {
-            Some((_, incumbent)) => obj < incumbent - 1e-12,
-            None => true,
-        };
-        if accept {
-            best = Some((idx as u64, obj));
-        }
-    }
-    best.map(|(idx, _)| idx)
-}
-
 /// Deterministic local search for oversized search spaces: greedy seeding
 /// (heaviest slow group to the emptiest pipeline) followed by single-move hill
 /// climbing, replicating the seed's move acceptance (including its
@@ -608,7 +370,6 @@ fn local_search(
     scratch: &mut DivisionScratch,
     problem: &DivisionProblem,
     min_groups: usize,
-    lb: f64,
 ) -> bool {
     let dp = problem.dp;
     let ms = problem.slow_rates.len();
@@ -643,7 +404,7 @@ fn local_search(
     // Hill climbing over single reassignments.
     let mut improved = true;
     let mut rounds = 0_usize;
-    'outer: while improved && rounds < 64 {
+    while improved && rounds < 64 {
         improved = false;
         rounds += 1;
         for k in 0..ms {
@@ -651,11 +412,6 @@ fn local_search(
             for p in 0..dp {
                 if p == original {
                     continue;
-                }
-                // At the bound no further move can be accepted, so skipping
-                // them leaves `best_assignment` (the result) unchanged.
-                if have && best <= lb {
-                    break 'outer;
                 }
                 scratch.move_digit(k, p);
                 let before = if have { best } else { f64::INFINITY };
@@ -679,18 +435,8 @@ fn local_search(
     have
 }
 
-/// Solve the pipeline-division problem (sequential search).
+/// Solve the pipeline-division problem.
 pub fn divide_pipelines(problem: &DivisionProblem) -> Result<Division, DivisionError> {
-    divide_pipelines_parallel(problem, 1)
-}
-
-/// Solve the pipeline-division problem, splitting large exact enumerations
-/// across up to `workers` threads.  The result is byte-identical to
-/// [`divide_pipelines`] at any worker count.
-pub fn divide_pipelines_parallel(
-    problem: &DivisionProblem,
-    workers: usize,
-) -> Result<Division, DivisionError> {
     let dp = problem.dp;
     if dp == 0 {
         return Err(DivisionError::ZeroPipelines);
@@ -708,25 +454,13 @@ pub fn divide_pipelines_parallel(
     let search_space = (dp as u64).checked_pow(ms as u32).unwrap_or(u64::MAX);
 
     SCRATCH.with(|cell| {
-        let mut borrow = cell.borrow_mut();
-        let scratch = &mut *borrow;
+        let scratch = &mut *cell.borrow_mut();
         scratch.prepare(problem);
-        let lb = scratch.lower_bound(problem);
         let found = if search_space <= problem.exact_enumeration_limit {
-            if workers > 1 && (PARALLEL_MIN_SEARCH..=PARALLEL_MAX_SEARCH).contains(&search_space) {
-                match enumerate_parallel(problem, min_groups, lb, search_space, workers) {
-                    Some(best_idx) => {
-                        scratch.decode_best(best_idx, dp);
-                        true
-                    }
-                    None => false,
-                }
-            } else {
-                scratch.init_slots();
-                enumerate_serial(scratch, problem, min_groups, lb)
-            }
+            scratch.init_slots();
+            enumerate(scratch, problem, min_groups)
         } else {
-            local_search(scratch, problem, min_groups, lb)
+            local_search(scratch, problem, min_groups)
         };
         if !found {
             return Err(DivisionError::NotEnoughGroups {
@@ -836,29 +570,11 @@ mod tests {
         assert_eq!(ca, cb, "{ctx}");
     }
 
-    #[test]
-    fn parallel_division_is_bitwise_identical_to_serial_at_any_worker_count() {
-        let instances = vec![
-            // 8^4 = 4096 and 4^6 = 4096: right at the parallel threshold.
-            DivisionProblem::new(8, 24, 1.0, vec![2.0, 3.0, 2.5, 4.0], 256),
-            DivisionProblem::new(4, 10, 1.25, vec![2.0, 2.0, 3.5, 5.0, 2.25, 4.0], 192),
-            // 8^5 = 32768 with ties in the rates.
-            DivisionProblem::new(8, 40, 0.5, vec![1.5, 1.5, 2.5, 3.0, 3.5], 512),
-        ];
-        for p in instances {
-            let serial = divide_pipelines(&p).unwrap();
-            for workers in [1usize, 2, 3, 4, 8] {
-                let par = divide_pipelines_parallel(&p, workers).unwrap();
-                assert_bitwise_equal(&par, &serial, &format!("workers={workers} problem={p:?}"));
-            }
-        }
-    }
-
-    fn assert_matches_reference(p: &DivisionProblem, workers: usize) {
-        let new = divide_pipelines_parallel(p, workers);
+    fn assert_matches_reference(p: &DivisionProblem) {
+        let new = divide_pipelines(p);
         let old = divide_pipelines_reference(p);
         match (new, old) {
-            (Ok(a), Ok(b)) => assert_bitwise_equal(&a, &b, &format!("workers={workers} {p:?}")),
+            (Ok(a), Ok(b)) => assert_bitwise_equal(&a, &b, &format!("{p:?}")),
             (Err(a), Err(b)) => assert_eq!(a, b, "{p:?}"),
             (a, b) => panic!("divergent outcomes for {p:?}: new={a:?} reference={b:?}"),
         }
@@ -876,7 +592,7 @@ mod tests {
             // capacity) and an infinite slow rate (skipped by the harmonic sum).
             DivisionProblem::new(2, 2, f64::INFINITY, vec![2.0, 2.0], 16),
             DivisionProblem::new(3, 4, 1.0, vec![f64::INFINITY, 2.0], 32),
-            // Zero micro-batches: the bound prune fires immediately (lb = 0).
+            // Zero micro-batches: every candidate ties at objective 0.
             DivisionProblem::new(4, 4, 1.0, vec![2.0], 0),
             // Equal rates everywhere: maximal 1e-12 tie pressure on the fold.
             DivisionProblem::new(4, 8, 1.0, vec![1.0, 1.0, 1.0], 96),
@@ -888,8 +604,7 @@ mod tests {
         ls.exact_enumeration_limit = 4; // force the local-search path
         cases.push(ls);
         for p in &cases {
-            assert_matches_reference(p, 1);
-            assert_matches_reference(p, 4);
+            assert_matches_reference(p);
         }
     }
 
@@ -919,17 +634,17 @@ mod tests {
             if next() % 5 == 0 {
                 p.exact_enumeration_limit = 2; // exercise local search
             }
-            assert_matches_reference(&p, 1);
+            assert_matches_reference(&p);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The bound-pruned, incrementally-enumerated search returns a
-        /// `Division` bitwise-equal to an unpruned seed-reference run.
+        /// The arena-backed search returns a `Division` bitwise-equal to the
+        /// seed-reference run.
         #[test]
-        fn pruned_search_is_bitwise_equal_to_unpruned_reference(
+        fn optimized_search_is_bitwise_equal_to_seed_reference(
             dp in 1usize..5,
             fast_count in 0usize..12,
             fast_rate in 0.2f64..4.0,

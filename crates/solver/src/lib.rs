@@ -20,19 +20,18 @@
 //! * **Continuous relaxations** ([`relax`]): the harmonic-capacity estimates
 //!   used by Theorem 2 to rank grouping results in constant time.
 //!
-//! The division search is the planner's hot path and is implemented
-//! allocation-free over a reusable scratch arena with incremental enumeration,
-//! bound pruning, and optional intra-candidate parallelism
-//! ([`division::divide_pipelines_parallel`]).  The [`reference`] module keeps
-//! the original straightforward implementations frozen as the byte-identity
-//! oracle for those optimizations.
+//! The division search is the planner's hot path.  It scores candidates
+//! allocation-free over a reusable scratch arena, and the min-max allocator it
+//! calls per candidate memoizes its threshold search per weight signature.
+//! The [`reference`] module keeps the original straightforward implementations
+//! frozen as the byte-identity oracle for those optimizations.
 
 pub mod division;
 pub mod minmax;
 pub mod reference;
 pub mod relax;
 
-pub use division::{divide_pipelines, divide_pipelines_parallel, Division, DivisionProblem};
+pub use division::{divide_pipelines, Division, DivisionProblem};
 pub use minmax::{
     solve_minmax_allocation, solve_minmax_allocation_into, AllocationError, AllocationResult,
 };

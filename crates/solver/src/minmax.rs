@@ -18,11 +18,14 @@
 //!
 //! This is the innermost loop of the division MINLP (one call per enumerated
 //! slow-group assignment), so the hot entry point is
-//! [`solve_minmax_allocation_into`]: it writes into a caller-owned buffer,
-//! never clones a dense `caps` vector (the division path always passes `&[]`),
-//! and sheds reconstruction surplus in bulk instead of one unit per scan.
-//! Every shortcut is bit-for-bit equivalent to the seed implementation kept in
-//! [`crate::reference::solve_minmax_allocation_reference`].
+//! [`solve_minmax_allocation_into`]: it writes into a caller-owned buffer and
+//! never clones a dense `caps` vector (the division path always passes `&[]`).
+//! Its binary search groups slots into `(weight, capacity)` classes with exact
+//! `u128` sums, stops re-evaluating classes pinned on the search interval, and
+//! memoizes the final threshold per class signature (`ThresholdCache`, the
+//! optimization that carries the division speedup).  Reconstruction, surplus
+//! shedding and local improvement are the seed's.  Results are bit-for-bit
+//! those of [`crate::reference::solve_minmax_allocation_reference`].
 
 /// Errors returned by [`solve_minmax_allocation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -393,7 +396,7 @@ pub fn solve_minmax_allocation_into(
             for g in 0..classes {
                 s.u_hi.push(max_units(s.w[g], s.cap[g], threshold));
             }
-            amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g]));
+            amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g].min(total)));
             return Ok(());
         }
 
@@ -437,12 +440,7 @@ pub fn solve_minmax_allocation_into(
                 s.active.push(g);
             }
         }
-        // The halving budget (200) and the convergence test are shared across
-        // the three phases below, which peel work off as classes pin:
-        // multi-class phase → single binding class (register-local state, the
-        // ~50-iteration steady state) → constant predicate (pure halvings).
-        let mut it = 0;
-        while it < 200 && s.active.len() > 1 {
+        for _ in 0..200 {
             if hi - lo <= f64::EPSILON * hi.max(1.0) {
                 break;
             }
@@ -476,51 +474,6 @@ pub fn solve_minmax_allocation_into(
                 }
             }
             s.active.truncate(kept);
-            it += 1;
-        }
-        if s.active.len() == 1 {
-            let g = s.active[0];
-            let (wg, cg, mg) = (s.w[g], s.cap[g], s.mult[g] as u128);
-            let mut ulo = s.u_lo[g];
-            let mut uhi = s.u_hi[g];
-            while it < 200 && ulo != uhi {
-                if hi - lo <= f64::EPSILON * hi.max(1.0) {
-                    break;
-                }
-                let mid = 0.5 * (lo + hi);
-                let u = max_units(wg, cg, mid);
-                if frozen + mg * u as u128 >= total as u128 {
-                    hi = mid;
-                    uhi = u;
-                } else {
-                    lo = mid;
-                    ulo = u;
-                }
-                it += 1;
-            }
-            s.u_lo[g] = ulo;
-            s.u_hi[g] = uhi;
-            if ulo == uhi {
-                frozen += mg * ulo as u128;
-                s.active.clear();
-            }
-        }
-        if s.active.is_empty() {
-            // Every class is pinned, so the feasibility sum — and with it the
-            // branch taken — is the same at every midpoint still reachable.
-            let feasible = frozen >= total as u128;
-            while it < 200 {
-                if hi - lo <= f64::EPSILON * hi.max(1.0) {
-                    break;
-                }
-                let mid = 0.5 * (lo + hi);
-                if feasible {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-                it += 1;
-            }
         }
 
         if let Some(hash) = cache_hash {
@@ -530,21 +483,23 @@ pub fn solve_minmax_allocation_into(
         // Reconstruct: fill each slot to its threshold capacity (`u_hi` holds
         // each class's exact unit count at the final `hi` — refreshed on every
         // `hi` move for active classes, pinned on the remaining interval for
-        // frozen ones), then shed surplus from the currently most loaded slots
-        // so the maximum only decreases.
-        amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g]));
+        // frozen ones).
+        amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g].min(total)));
         Ok(())
     })?;
+    // Termination: a threshold left far above the optimum (a weight ratio too
+    // wide for 200 halvings) saturates unit counts at `u64::MAX`, whose sum
+    // would wrap.  Every reconstructed amount is therefore clamped to `total`
+    // (no slot can ever need more), so the surplus is at most
+    // `(n - 1) * total` and the shed loop below, which removes at least one
+    // unit per pass, ends.  The search's `sum >= total` tests run before the
+    // clamp and are unaffected.
     let mut assigned: u64 = amounts.iter().sum();
     debug_assert!(assigned >= total);
     while assigned > total {
-        // The seed removed one unit per scan from the most loaded positive
-        // slot (`max_by` keeps the *last* among ties).  Shed in bulk instead:
-        // slot `j` keeps being re-selected while its load stays strictly above
-        // every later slot's and no lower than every earlier slot's, and its
-        // load is strictly decreasing, so the run length of consecutive picks
-        // is found by binary search on the exact same float comparisons —
-        // bit-for-bit the same amounts as the unit-at-a-time loop.
+        // Shed from the currently most loaded positive slot (`max_by` keeps
+        // the *last* among ties), so the maximum only decreases; a free slot
+        // sheds its whole share of the surplus at once.
         let (j, _) = amounts
             .iter()
             .enumerate()
@@ -552,44 +507,10 @@ pub fn solve_minmax_allocation_into(
             .map(|(j, &a)| (j, weights[j] * a as f64))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("assigned > total implies a positive slot exists");
-        let surplus = assigned - total;
         let shed = if weights[j] <= 0.0 {
-            // Free slot: the seed shed its whole surplus here in one step.
-            surplus.min(amounts[j])
+            (assigned - total).min(amounts[j])
         } else {
-            let mut max_after = f64::NEG_INFINITY;
-            let mut max_before = f64::NEG_INFINITY;
-            for (j2, &a2) in amounts.iter().enumerate() {
-                if j2 == j || a2 == 0 {
-                    continue;
-                }
-                let load = weights[j2] * a2 as f64;
-                if j2 > j {
-                    if load > max_after {
-                        max_after = load;
-                    }
-                } else if load > max_before {
-                    max_before = load;
-                }
-            }
-            // `still_picked(t)`: after `t` sheds, would the argmax above pick
-            // `j` again?  Monotone in `t` (the load only decreases), and
-            // `still_picked(0)` holds because `j` was just picked.
-            let still_picked = |t: u64| {
-                let load = weights[j] * (amounts[j] - t) as f64;
-                load > max_after && load >= max_before
-            };
-            let mut lo = 1u64;
-            let mut hi = surplus.min(amounts[j]);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if still_picked(mid - 1) {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            lo
+            1
         };
         amounts[j] -= shed;
         assigned -= shed;
@@ -774,11 +695,9 @@ mod tests {
             (vec![1.2, 1.2, 5.4, 1.2], 12, vec![]),
             (vec![2.62, 2.62, 1.0, 1.0], 11, vec![]),
             // Large-surplus instances: the threshold reconstruction overshoots
-            // badly (free or tied slots), pinning the bulk-shed path.  (At most
-            // one uncapped zero-weight slot per instance: a second one pushes
-            // the reconstruction sum past u64::MAX, which the seed never
-            // supported either.)
+            // badly (free or tied slots), exercising the surplus shed.
             (vec![0.0, 1.0, 1.0], 14, vec![]),
+            (vec![0.0, 0.0, 1.0], 9, vec![]),
             (vec![0.0, 2.0, 2.0], 13, vec![Some(4), None, None]),
             (vec![1.0, 1.0, 1.0, 1.0, 1.0], 17, vec![]),
             (vec![0.5, 0.5, 0.5, 4.0], 15, vec![]),
@@ -798,7 +717,33 @@ mod tests {
     }
 
     #[test]
-    fn bulk_shed_is_bitwise_identical_to_the_seed_unit_shed() {
+    fn extreme_weight_ratio_terminates() {
+        // 200 halvings cannot bring the threshold from 6.4e81 down to the
+        // optimum, so the weight-1 slots reach u64::MAX units before the
+        // clamp to `total`; without it the surplus sum wraps and the shed
+        // loop does not end.
+        let w = [1.0, 1.0, 1e80, 1.0];
+        let r = solve_minmax_allocation(&w, 64, &[]).unwrap();
+        assert_eq!(r.amounts, vec![22, 21, 0, 21]);
+        let seed = solve_minmax_allocation_reference(&w, 64, &[]).unwrap();
+        assert_eq!(r.amounts, seed.amounts);
+        assert_eq!(r.objective.to_bits(), seed.objective.to_bits());
+    }
+
+    #[test]
+    fn two_free_slots_do_not_overflow_the_reconstruction() {
+        // Two uncapped zero-weight slots both reach u64::MAX units before the
+        // clamp to `total`; without it the surplus sum overflows.
+        let w = [0.0, 0.0, 1.0];
+        let r = solve_minmax_allocation(&w, 64, &[]).unwrap();
+        assert_eq!(r.amounts, vec![64, 0, 0]);
+        assert_eq!(r.objective, 0.0);
+        let seed = solve_minmax_allocation_reference(&w, 64, &[]).unwrap();
+        assert_eq!(seed.amounts, r.amounts);
+    }
+
+    #[test]
+    fn heavy_surplus_shed_is_bitwise_identical_to_the_seed() {
         // Deterministic sweep over instances with heavy reconstruction
         // surpluses (ties, zero weights, caps): amounts and objective must
         // match the frozen seed solver bit for bit.
@@ -823,13 +768,16 @@ mod tests {
         };
         for _ in 0..200 {
             let n = 1 + (next() % 6) as usize;
-            // At most one zero-weight slot (always slot 0 when present): two
-            // uncapped free slots overflow the seed's reconstruction sum.
+            // Free (zero-weight) slots at the front: slot 0 often, slot 1 too
+            // now and then.
             let mut weights: Vec<f64> = (0..n)
                 .map(|_| ((next() % 900) + 100) as f64 / 250.0)
                 .collect();
             if next() % 3 == 0 {
                 weights[0] = 0.0;
+                if n > 1 && next() % 3 == 0 {
+                    weights[1] = 0.0;
+                }
             }
             let caps: Vec<Option<u64>> = if next() % 2 == 0 {
                 Vec::new()

@@ -12,10 +12,16 @@
 //!   gate against their wall clock.
 //!
 //! Do not "improve" this module: its value is that it does not change.
-//! (The only edits vs the seed are three `== 0.0` comparisons rewritten to the
-//! equivalent `<= 0.0` — weights are validated non-negative, and the folds that
-//! produce `finite_max_w`/`cur_obj` start at `+0.0` — so the module passes the
-//! ML003 float byte-identity lint without pragmas.)
+//! The edits vs the seed:
+//!
+//! * three `== 0.0` comparisons rewritten to the equivalent `<= 0.0` — weights
+//!   are validated non-negative, and the folds that produce
+//!   `finite_max_w`/`cur_obj` start at `+0.0` — so the module passes the ML003
+//!   float byte-identity lint without pragmas;
+//! * the termination fix: reconstructed amounts are clamped to `total`.  On
+//!   every input where the seed terminated without overflowing its
+//!   reconstruction sum the result is unchanged; on the rest (weight ratios too
+//!   wide for 200 halvings, two or more free slots) the seed hung or wrapped.
 
 use crate::division::{Division, DivisionError, DivisionProblem};
 use crate::minmax::{AllocationError, AllocationResult};
@@ -124,10 +130,12 @@ pub fn solve_minmax_allocation_reference(
     }
     let threshold = hi;
 
+    // Clamped to `total` so the surplus is at most `(n - 1) * total` and the
+    // shed loop terminates.
     let mut amounts: Vec<u64> = weights
         .iter()
         .enumerate()
-        .map(|(j, &w)| max_units(w, caps_vec[j], threshold))
+        .map(|(j, &w)| max_units(w, caps_vec[j], threshold).min(total))
         .collect();
     let mut assigned: u64 = amounts.iter().sum();
     debug_assert!(assigned >= total);

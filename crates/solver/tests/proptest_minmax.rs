@@ -1,7 +1,11 @@
 //! Property-based tests for the min-max allocation solver.
 
 use malleus_solver::minmax::{brute_force_minmax, solve_minmax_allocation};
+use malleus_solver::reference::solve_minmax_allocation_reference;
 use proptest::prelude::*;
+
+/// Free, dead, subnormal, tiny, huge and near-overflow weights.
+const EXTREME_WEIGHTS: [f64; 6] = [0.0, f64::INFINITY, 5e-324, 1e-300, 1e80, 1.7e308];
 
 proptest! {
     // Bounded to 64 cases per property (tier-1 policy; the shim runner is
@@ -72,6 +76,38 @@ proptest! {
         let scaled_weights: Vec<f64> = weights.iter().map(|w| w * scale).collect();
         let scaled = solve_minmax_allocation(&scaled_weights, total, &[]).unwrap();
         prop_assert!((scaled.objective - base.objective * scale).abs() < 1e-6 * scale.max(1.0));
+    }
+
+    /// Extreme weight ratios, mixed with ordinary rates, terminate and match
+    /// the frozen seed solver bit for bit.  (Ratios too wide for the threshold
+    /// search's 200 halvings reconstruct far above `total`; only the clamp to
+    /// `total` keeps the surplus shed finite.)
+    #[test]
+    fn extreme_weights_match_the_seed_reference(
+        picks in prop::collection::vec((0usize..10, 0.1f64..20.0), 1..7),
+        total in 0u64..200,
+        cap_seed in prop::collection::vec(prop::option::of(0u64..100), 0..7),
+    ) {
+        let weights: Vec<f64> = picks
+            .iter()
+            .map(|&(i, w)| EXTREME_WEIGHTS.get(i).copied().unwrap_or(w))
+            .collect();
+        let caps: Vec<Option<u64>> = if cap_seed.len() == weights.len() {
+            cap_seed
+        } else {
+            Vec::new()
+        };
+        let new = solve_minmax_allocation(&weights, total, &caps);
+        let old = solve_minmax_allocation_reference(&weights, total, &caps);
+        match (new, old) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.amounts.iter().sum::<u64>(), total);
+                prop_assert_eq!(&a.amounts, &b.amounts);
+                prop_assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "divergent outcomes: new={:?} reference={:?}", a, b),
+        }
     }
 
     /// Adding one more unit of work can never decrease the objective.

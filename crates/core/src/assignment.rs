@@ -118,6 +118,98 @@ pub fn assign_layers(
     }
 }
 
+/// Upper bound on the layers that `groups`, divided into `dp` pipelines, can
+/// hold under the Appendix B.4 memory model: if it is below `dp · L`, every
+/// division of these groups fails [`assign_layers`] in some pipeline, so the
+/// planner skips the candidate before the Eq. (4) division.
+///
+/// Why it is an upper bound:
+///
+/// * **Caps by distance.** Let `c(t, k) = max_layers(t, 1, k + 2, b, dp)`,
+///   with `None` read as 0: the cap of a TP-`t` stage `k` stages before the
+///   end of its pipeline.  Its μ has the same operands as the μ of any stage
+///   at that distance (`k` micro-batches in flight).  Its ν is the LM head
+///   plus logits for `k = 0` and zero for `k ≥ 1`, never more than a real
+///   stage's ν (which may add the embedding).  Float `+`, `/` and `floor`
+///   are monotone, so every cap [`assign_layers`] uses at position `j` of a
+///   `pp`-stage pipeline is at most `c(t, pp − 1 − j)` after rounding too.
+/// * **Distance slots.** A feasible division puts `L` layers on the
+///   surviving stages of each pipeline.  Each pipeline has exactly one stage
+///   at each distance below its length, so at most `dp` stages share a
+///   distance, and every pipeline has one at `k = 0`.  Stages are distinct
+///   groups, so a pipeline has at most `n − dp + 1` of them.
+///
+/// Two relaxations of that structure each bound the total; the result is
+/// the smaller:
+///
+/// * **(a) slots:** `min(dp, n − k·dp)` slots at each distance `k`, each
+///   worth `max_t c(t, k)` over the TP degrees present.  Filling distances
+///   in order is the best case because all `dp` slots at `k = 0` are forced
+///   and `c(·, k)` does not grow with `k ≥ 1` (μ grows with `k`).
+/// * **(b) classes:** the `n_t` groups of TP degree `t` hold at most the sum
+///   of the `n_t` largest values of `{c(t, k)` repeated `dp` times`}`.  The
+///   values are sorted, since the LM head can make `k = 0` the smallest.
+///   Distances past `⌈n/dp⌉` never enter that sum because `dp·⌈n/dp⌉ ≥ n_t`
+///   values at `k ≥ 1` precede them.
+///
+/// Returns 0 when `dp` is zero or exceeds the group count (no division
+/// exists); sums saturate at `u64::MAX`.
+pub fn layer_capacity_bound(
+    cost: &CostModel,
+    groups: &[TpGroup],
+    dp: usize,
+    micro_batch_size: u64,
+) -> u64 {
+    let n = groups.len();
+    if dp == 0 || n < dp {
+        return 0;
+    }
+    // Distances 0..=max_k cover both relaxations (see above).
+    let max_k = (n - dp).min(n.div_ceil(dp));
+    let mut classes: Vec<(u32, usize)> = Vec::new();
+    for group in groups {
+        let t = group.tp_degree();
+        match classes.iter_mut().find(|(d, _)| *d == t) {
+            Some((_, count)) => *count += 1,
+            None => classes.push((t, 1)),
+        }
+    }
+    let caps: Vec<Vec<u64>> = classes
+        .iter()
+        .map(|&(t, _)| {
+            (0..=max_k)
+                .map(|k| {
+                    cost.max_layers(t, 1, k + 2, micro_batch_size, dp as u32)
+                        .unwrap_or(0)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut slot_bound = 0u64;
+    for k in (0..=max_k).take_while(|k| k * dp < n) {
+        let slots = dp.min(n - k * dp) as u64;
+        let best = caps.iter().map(|c| c[k]).max().unwrap_or(0);
+        slot_bound = slot_bound.saturating_add(slots.saturating_mul(best));
+    }
+
+    let mut class_bound = 0u64;
+    for (&(_, count), class_caps) in classes.iter().zip(&caps) {
+        let mut sorted = class_caps.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let mut left = count;
+        for cap in sorted {
+            let take = left.min(dp);
+            class_bound = class_bound.saturating_add((take as u64).saturating_mul(cap));
+            left -= take;
+            if left == 0 {
+                break;
+            }
+        }
+    }
+    slot_bound.min(class_bound)
+}
+
 /// Assign `total_micro_batches` micro-batches across pipelines whose
 /// per-micro-batch bottlenecks are `objectives` (Eq. (3)).
 ///
@@ -234,6 +326,17 @@ mod tests {
         let groups = groups_of(&[8]);
         let a = assign_layers(&cost, &groups, &cluster.snapshot(), 80, 1, 1, false);
         assert!(a.is_none());
+    }
+
+    #[test]
+    fn capacity_bound_separates_fitting_and_oversized_models() {
+        // 110B cannot fit one 8-GPU stage (see above); 32B fits four.
+        let cost = cost_model(ModelSpec::llama2_110b());
+        assert!(layer_capacity_bound(&cost, &groups_of(&[8]), 1, 1) < 80);
+        let cost = cost_model(ModelSpec::llama2_32b());
+        let groups = groups_of(&[8, 8, 8, 8]);
+        assert!(layer_capacity_bound(&cost, &groups, 2, 1) >= 2 * 60);
+        assert_eq!(layer_capacity_bound(&cost, &groups, 5, 1), 0, "dp > groups");
     }
 
     #[test]

@@ -82,8 +82,28 @@ pub struct LatticeEntry {
     /// Estimated step time under the exact cost model; `None` when the
     /// candidate was infeasible.
     pub estimated_step_time: Option<f64>,
+    /// Why the candidate was infeasible; `None` when it was feasible.
+    pub failure: Option<FailureClass>,
     /// Whether this evaluation was served from the candidate memo.
     pub reused: bool,
+}
+
+/// Why a lattice point produced no plan, in the order the planner checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureClass {
+    /// Skipped before the division: the layer-capacity bound
+    /// ([`crate::assignment::layer_capacity_bound`]) is below `dp · L`.
+    CapacityBound,
+    /// The Eq. (4) division returned an error.
+    Division,
+    /// Layer assignment (Eq. (2) under the memory caps) failed in some
+    /// pipeline of the division.
+    LayerAssignment,
+    /// Data assignment (Eq. (3)) failed or left a pipeline without
+    /// micro-batches.
+    DataStarved,
+    /// The assembled plan failed structural validation or the memory check.
+    Validation,
 }
 
 /// The scored candidate lattice of one planning invocation, persisted
@@ -182,8 +202,10 @@ pub(crate) struct MemoizedEval {
     nonuniform_division: bool,
     /// The feasible outcome (timing zeroed, no lattice), if any.
     pub outcome: Option<PlanOutcome>,
-    /// The failure reason, if the candidate was infeasible.
-    pub failure: Option<String>,
+    /// The failure class, if the candidate was infeasible.
+    pub failure: Option<FailureClass>,
+    /// The failure reason, if the candidate reported one.
+    pub reason: Option<String>,
 }
 
 impl MemoizedEval {
@@ -235,7 +257,8 @@ impl CandidateMemo {
         inputs: &CandidateInputs<'_>,
         grouping: Arc<GroupingResult>,
         outcome: Option<PlanOutcome>,
-        failure: Option<String>,
+        failure: Option<FailureClass>,
+        reason: Option<String>,
     ) {
         let eval = MemoizedEval {
             coeffs: inputs.coeffs.clone(),
@@ -250,6 +273,7 @@ impl CandidateMemo {
             nonuniform_division: inputs.nonuniform_division,
             outcome,
             failure,
+            reason,
         };
         let mut entries = self.entries.lock().unwrap();
         if entries.values().map(Vec::len).sum::<usize>() >= MEMO_CAPACITY {

@@ -47,7 +47,8 @@ pub use backend::{
 };
 pub use cost::CostModel;
 pub use delta::{
-    incremental_from_env_or, CandidateMemo, LatticeEntry, ScoredLattice, INCREMENTAL_ENV,
+    incremental_from_env_or, CandidateMemo, FailureClass, LatticeEntry, ScoredLattice,
+    INCREMENTAL_ENV,
 };
 pub use error::PlanError;
 pub use grouping::{group_cluster, GroupingResult};

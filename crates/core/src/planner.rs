@@ -14,9 +14,9 @@
 //! the chosen plan is bit-identical to the `Parallelism::Fixed(1)` reference
 //! path regardless of thread scheduling.
 
-use crate::assignment::assign_data;
+use crate::assignment::{assign_data, layer_capacity_bound};
 use crate::cost::CostModel;
-use crate::delta::{CandidateInputs, CandidateMemo, LatticeEntry, ScoredLattice};
+use crate::delta::{CandidateInputs, CandidateMemo, FailureClass, LatticeEntry, ScoredLattice};
 use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::orchestration::{divide_groups, order_and_assign_layers};
@@ -191,11 +191,12 @@ struct Candidate {
     nonuniform_division: bool,
 }
 
-/// Result of evaluating one candidate: a feasible outcome or a failure reason,
-/// plus this candidate's share of the per-phase timing breakdown.
+/// Result of evaluating one candidate: a feasible outcome or a failure class
+/// and reason, plus this candidate's share of the per-phase timing breakdown.
 struct CandidateEval {
     outcome: Option<PlanOutcome>,
-    failure: Option<String>,
+    failure: Option<FailureClass>,
+    reason: Option<String>,
     timing: PlanTiming,
 }
 
@@ -415,23 +416,40 @@ impl Planner {
         candidates
     }
 
-    /// Evaluate one lattice point: pipeline division, group ordering / layer
-    /// assignment, data assignment, validation, and cost estimation.  Entirely
-    /// self-contained — no shared mutable state — so candidates can run on any
-    /// worker thread.
+    /// Evaluate one lattice point: the layer-capacity bound, pipeline
+    /// division, group ordering / layer assignment, data assignment,
+    /// validation, and cost estimation.  Entirely self-contained — no shared
+    /// mutable state — so candidates can run on any worker thread.
     fn evaluate_candidate(&self, snapshot: &ClusterSnapshot, cand: &Candidate) -> CandidateEval {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
         let (max_tp, dp, b) = (cand.max_tp, cand.dp, cand.micro_batch);
         let total_micro_batches = self.config.global_batch_size / b;
         let mut timing = PlanTiming::default();
-        let failed = |failure: Option<String>, timing: PlanTiming| CandidateEval {
-            outcome: None,
-            failure,
-            timing,
-        };
+        let failed =
+            |failure: FailureClass, reason: Option<String>, timing: PlanTiming| CandidateEval {
+                outcome: None,
+                failure: Some(failure),
+                reason,
+                timing,
+            };
+        let layers_infeasible =
+            || format!("layer assignment infeasible for tp={max_tp} dp={dp} b={b}");
 
         // malleus-lint: allow(ML004, reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection")
         let t0 = Instant::now();
+        // No division of these groups can hold `dp · L` layers, so layer
+        // assignment would fail after the division: report that failure
+        // without dividing.  Enumeration only yields `dp ≤ groups`, where the
+        // division itself succeeds, so the reason is the one a full
+        // evaluation gives.
+        if layer_capacity_bound(&self.cost, &cand.grouping.groups, dp, b) < dp as u64 * num_layers {
+            timing.division += t0.elapsed();
+            return failed(
+                FailureClass::CapacityBound,
+                Some(layers_infeasible()),
+                timing,
+            );
+        }
         let division = match divide_groups(
             &self.cost,
             &cand.grouping,
@@ -445,7 +463,7 @@ impl Planner {
             Ok(d) => d,
             Err(e) => {
                 timing.division += t0.elapsed();
-                return failed(Some(e.to_string()), timing);
+                return failed(FailureClass::Division, Some(e.to_string()), timing);
             }
         };
         timing.division += t0.elapsed();
@@ -474,9 +492,8 @@ impl Planner {
         timing.ordering += t0.elapsed();
         if !feasible {
             return failed(
-                Some(format!(
-                    "layer assignment infeasible for tp={max_tp} dp={dp} b={b}"
-                )),
+                FailureClass::LayerAssignment,
+                Some(layers_infeasible()),
                 timing,
             );
         }
@@ -490,13 +507,14 @@ impl Planner {
             !self.config.nonuniform_data,
         ) else {
             timing.assignment += t0.elapsed();
-            return failed(None, timing);
+            return failed(FailureClass::DataStarved, None, timing);
         };
         // A pipeline with zero micro-batches would idle an entire replica;
         // reject such degenerate splits.
         if micro_batches.contains(&0) {
             timing.assignment += t0.elapsed();
             return failed(
+                FailureClass::DataStarved,
                 Some(format!(
                     "data assignment starved a pipeline for tp={max_tp} dp={dp} b={b}"
                 )),
@@ -530,6 +548,7 @@ impl Planner {
             || !self.cost.memory_feasible(&plan)
         {
             return failed(
+                FailureClass::Validation,
                 Some(format!(
                     "candidate plan failed validation for tp={max_tp} dp={dp} b={b}"
                 )),
@@ -550,6 +569,7 @@ impl Planner {
                 lattice: None,
             }),
             failure: None,
+            reason: None,
             timing,
         }
     }
@@ -660,6 +680,9 @@ impl Planner {
 
         // Phase 3 — evaluate candidates across workers; `fan_out` returns the
         // results indexed by lattice position, never by completion order.
+        // A candidate whose groups cannot hold `dp · L` layers under the
+        // memory caps is pruned before the Eq. (4) division with the failure
+        // a full evaluation would report (see `layer_capacity_bound`).
         // With the memo consulted, a candidate whose confirmed inputs are
         // unchanged since a previous invocation is served from the memo —
         // bitwise what a fresh evaluation would produce — and every fresh
@@ -676,7 +699,8 @@ impl Planner {
                     return (
                         CandidateEval {
                             outcome: hit.outcome.clone(),
-                            failure: hit.failure.clone(),
+                            failure: hit.failure,
+                            reason: hit.reason.clone(),
                             timing: PlanTiming::default(),
                         },
                         true,
@@ -689,7 +713,8 @@ impl Planner {
                 &inputs,
                 Arc::clone(&cand.grouping),
                 eval.outcome.clone(),
-                eval.failure.clone(),
+                eval.failure,
+                eval.reason.clone(),
             );
             (eval, false)
         });
@@ -714,10 +739,11 @@ impl Planner {
                     micro_batch: cand.micro_batch,
                     nonuniform_division: cand.nonuniform_division,
                     estimated_step_time: eval.outcome.as_ref().map(|o| o.estimated_step_time),
+                    failure: eval.failure,
                     reused,
                 });
             }
-            if let Some(reason) = eval.failure {
+            if let Some(reason) = eval.reason {
                 last_failure = reason;
             }
             if let Some(outcome) = eval.outcome {

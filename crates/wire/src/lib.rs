@@ -32,16 +32,18 @@
 
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::{
-    BackendId, LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan, PlanError,
-    PlanOutcome, PlanTiming, PlannedOutcome, PlannerConfig, ScoredLattice, StagePlan, TpGroup,
+    BackendId, FailureClass, LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan,
+    PlanError, PlanOutcome, PlanTiming, PlannedOutcome, PlannerConfig, ScoredLattice, StagePlan,
+    TpGroup,
 };
 use malleus_model::{HardwareParams, MemoryModel, ModelSpec, ProfiledCoefficients};
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u16 = 1;
+/// Protocol version carried in every frame header.  Version 2 adds the
+/// failure-class byte to each `LatticeEntry`.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Frame magic: rejects non-malleus traffic on the first four bytes.
 pub const FRAME_MAGIC: [u8; 4] = *b"MWIR";
@@ -790,6 +792,7 @@ impl Wire for LatticeEntry {
         e.put_u64(self.micro_batch);
         e.put_bool(self.nonuniform_division);
         self.estimated_step_time.encode(e);
+        e.put_u8(failure_tag(self.failure));
         e.put_bool(self.reused);
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -799,9 +802,39 @@ impl Wire for LatticeEntry {
             micro_batch: d.get_u64()?,
             nonuniform_division: d.get_bool()?,
             estimated_step_time: Option::decode(d)?,
+            failure: failure_from_tag(d.get_u8()?)?,
             reused: d.get_bool()?,
         })
     }
+}
+
+/// One tag byte for a lattice entry's failure class: 0 for feasible.
+fn failure_tag(failure: Option<FailureClass>) -> u8 {
+    match failure {
+        None => 0,
+        Some(FailureClass::CapacityBound) => 1,
+        Some(FailureClass::Division) => 2,
+        Some(FailureClass::LayerAssignment) => 3,
+        Some(FailureClass::DataStarved) => 4,
+        Some(FailureClass::Validation) => 5,
+    }
+}
+
+fn failure_from_tag(tag: u8) -> Result<Option<FailureClass>, WireError> {
+    Ok(Some(match tag {
+        0 => return Ok(None),
+        1 => FailureClass::CapacityBound,
+        2 => FailureClass::Division,
+        3 => FailureClass::LayerAssignment,
+        4 => FailureClass::DataStarved,
+        5 => FailureClass::Validation,
+        tag => {
+            return Err(WireError::UnknownTag {
+                what: "FailureClass",
+                tag: tag as u64,
+            })
+        }
+    }))
 }
 
 impl Wire for ScoredLattice {

@@ -6,8 +6,9 @@
 
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::{
-    BackendId, LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan, PlanError,
-    PlanOutcome, PlanTiming, PlannedOutcome, PlannerConfig, ScoredLattice, StagePlan, TpGroup,
+    BackendId, FailureClass, LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan,
+    PlanError, PlanOutcome, PlanTiming, PlannedOutcome, PlannerConfig, ScoredLattice, StagePlan,
+    TpGroup,
 };
 use malleus_model::{HardwareParams, MemoryModel, ModelSpec, ProfiledCoefficients};
 use malleus_wire::{
@@ -17,6 +18,15 @@ use malleus_wire::{
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Every failure class, in wire-tag order (tag = index + 1; 0 is feasible).
+const FAILURE_CLASSES: [FailureClass; 5] = [
+    FailureClass::CapacityBound,
+    FailureClass::Division,
+    FailureClass::LayerAssignment,
+    FailureClass::DataStarved,
+    FailureClass::Validation,
+];
 
 /// Small deterministic generator: the proptest shim has no `any::<T>()`, so
 /// each case draws a `u64` seed and expands it through splitmix64 into
@@ -183,6 +193,10 @@ impl Gen {
                         Some(self.f64_bits())
                     } else {
                         None
+                    },
+                    failure: match self.below(FAILURE_CLASSES.len() as u64 + 1) {
+                        0 => None,
+                        i => Some(FAILURE_CLASSES[i as usize - 1]),
                     },
                     reused: self.bool(),
                 })
@@ -412,6 +426,40 @@ fn every_plan_error_variant_roundtrips() {
         let back: PlanError = from_bytes(&to_bytes(&v)).unwrap();
         assert_eq!(back, v);
     }
+}
+
+#[test]
+fn lattice_failure_class_is_one_tag_byte() {
+    let entry = |failure| LatticeEntry {
+        max_tp: 8,
+        dp: 4,
+        micro_batch: 2,
+        nonuniform_division: true,
+        estimated_step_time: None,
+        failure,
+        reused: true,
+    };
+    let feasible = to_bytes(&entry(None));
+    // The class sits just before the trailing `reused` flag.
+    assert_eq!(feasible[feasible.len() - 2], 0);
+    for (i, class) in FAILURE_CLASSES.into_iter().enumerate() {
+        let v = entry(Some(class));
+        let bytes = to_bytes(&v);
+        assert_eq!(bytes.len(), feasible.len(), "{class:?}");
+        assert_eq!(bytes[bytes.len() - 2], i as u8 + 1, "{class:?}");
+        let back: LatticeEntry = from_bytes(&bytes).unwrap();
+        assert_eq!(back, v);
+    }
+    let mut unknown = feasible;
+    let tag_at = unknown.len() - 2;
+    unknown[tag_at] = FAILURE_CLASSES.len() as u8 + 1;
+    assert_eq!(
+        from_bytes::<LatticeEntry>(&unknown),
+        Err(WireError::UnknownTag {
+            what: "FailureClass",
+            tag: FAILURE_CLASSES.len() as u64 + 1
+        })
+    );
 }
 
 #[test]

@@ -419,8 +419,52 @@ mod tests {
 
     #[test]
     fn session_survives_service_backpressure_by_planning_locally() {
-        use malleus_model::{HardwareParams, ModelSpec};
+        use malleus_core::{BackendId, ClusterEvent, ParallelizationPlan, PlannedOutcome};
         use malleus_service::{PlanRequest, PlanService, ServiceConfig};
+        use std::sync::{Condvar, Mutex};
+
+        /// A foreign tenant's backend that holds its execution slot until the
+        /// test releases it, however fast planning is.
+        #[derive(Debug)]
+        struct HoldsTheSlot(Arc<(Mutex<bool>, Condvar)>);
+        impl PlanBackend for HoldsTheSlot {
+            fn id(&self) -> BackendId {
+                BackendId::Megatron
+            }
+            fn fingerprint_config(&self) -> u64 {
+                0
+            }
+            fn plan(
+                &self,
+                _: &ClusterSnapshot,
+                _: &PlannerConfig,
+            ) -> Result<PlannedOutcome, PlanError> {
+                let (flag, released) = &*self.0;
+                let mut go = flag.lock().unwrap();
+                while !*go {
+                    go = released.wait(go).unwrap();
+                }
+                Err(PlanError::NoFeasiblePlan {
+                    reason: "released".into(),
+                })
+            }
+            fn replan(
+                &self,
+                snapshot: &ClusterSnapshot,
+                _: &PlannedOutcome,
+                _: ClusterEvent,
+            ) -> Result<PlannedOutcome, PlanError> {
+                self.plan(snapshot, &PlannerConfig::default())
+            }
+            fn estimate_step_time(
+                &self,
+                _: &ParallelizationPlan,
+                _: &ClusterSnapshot,
+            ) -> Option<f64> {
+                None
+            }
+        }
+
         let cluster = Cluster::homogeneous(4, 8);
         let trace = short_trace(&cluster, &[PaperSituation::Normal, PaperSituation::S2]);
         let baseline = session(cluster.clone()).run(&trace).expect("baseline");
@@ -431,21 +475,25 @@ mod tests {
             max_queue_depth: 0,
             ..ServiceConfig::default()
         }));
+        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        {
+            let release = Arc::clone(&release);
+            service.register_backend(
+                BackendId::Megatron,
+                Arc::new(move |_, _| Box::new(HoldsTheSlot(Arc::clone(&release)))),
+            );
+        }
         let blocker = {
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                // 110B on 64 GPUs: slow enough to hold the slot for a while.
-                let coeffs = ProfiledCoefficients::derive(
-                    ModelSpec::llama2_110b(),
+            let request = PlanRequest::new(
+                ProfiledCoefficients::derive(
+                    ModelSpec::llama2_32b(),
                     HardwareParams::a800_cluster(),
-                );
-                let request = PlanRequest::new(
-                    coeffs,
-                    Cluster::homogeneous(8, 8).snapshot(),
-                    PlannerConfig::default(),
-                );
-                service.plan(&request).expect("blocker plan");
-            })
+                ),
+                cluster.snapshot(),
+                PlannerConfig::default(),
+            );
+            std::thread::spawn(move || service.plan_backend(BackendId::Megatron, &request))
         };
         while service.metrics().active_plans == 0 {
             std::thread::yield_now();
@@ -464,7 +512,15 @@ mod tests {
             service.metrics().rejected > 0,
             "the saturated service should have shed at least the first request"
         );
-        blocker.join().unwrap();
+        {
+            let (flag, released) = &*release;
+            *flag.lock().unwrap() = true;
+            released.notify_all();
+        }
+        assert!(
+            blocker.join().unwrap().is_err(),
+            "the held slot was released"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use malleus_bench::paper_workloads;
 use malleus_cluster::PaperSituation;
-use malleus_service::{PlanRequest, PlanService, ServiceConfig};
+use malleus_service::{PlanRequest, PlanService, PlanTransport, ServiceConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 

@@ -27,7 +27,7 @@ use malleus_cluster::{ClusterSnapshot, PaperSituation};
 use malleus_core::{BackendId, PlanBackend, Planner, PlannerConfig};
 use malleus_model::ProfiledCoefficients;
 use malleus_runtime::replan_overlapped;
-use malleus_service::{PlanRequest, PlanService, ServiceConfig};
+use malleus_service::{PlanRequest, PlanService, PlanTransport, ServiceConfig};
 
 /// Iterations trained in each phase of the event stream.
 const ITERS_PER_PHASE: f64 = 20.0;

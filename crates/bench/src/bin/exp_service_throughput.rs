@@ -35,7 +35,8 @@ use malleus_cluster::{Cluster, ClusterSnapshot, GpuId, StragglerLevel};
 use malleus_core::{Planner, PlannerConfig};
 use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
 use malleus_service::{
-    ClientConfig, PlanClient, PlanRequest, PlanServer, PlanService, ServerConfig, ServiceConfig,
+    ClientConfig, PlanClient, PlanRequest, PlanServer, PlanService, PlanTransport, ServerConfig,
+    ServiceConfig,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

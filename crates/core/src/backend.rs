@@ -314,8 +314,9 @@ pub fn malleus_constructor() -> Arc<BackendConstructor> {
     Arc::new(|coeffs, config| Box::new(Planner::new(coeffs.clone(), config.clone())))
 }
 
-/// FNV-1a accumulator for [`PlanBackend::fingerprint_config`] implementations,
-/// so every backend fingerprints its knobs the same way.
+/// Byte-wise FNV-1a accumulator over little-endian words.  Every backend
+/// fingerprints its knobs with it ([`PlanBackend::fingerprint_config`]), and
+/// it is the one hasher behind the candidate-memo and plan-cache keys.
 #[derive(Debug, Clone)]
 pub struct ConfigFingerprint(u64);
 

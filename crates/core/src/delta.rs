@@ -34,6 +34,7 @@
 //! replace each other), and the memo clears wholesale once a capacity bound
 //! is hit, keeping memory bounded under snapshot churn.
 
+use crate::backend::ConfigFingerprint;
 use crate::grouping::GroupingResult;
 use crate::planner::PlanOutcome;
 use malleus_cluster::ClusterSnapshot;
@@ -161,26 +162,26 @@ impl CandidateInputs<'_> {
     /// FNV-1a fingerprint of the inputs (collisions are resolved by the
     /// per-key bucket plus full-equality confirmation).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.global_batch_size);
-        h.u64(self.num_gpus as u64);
-        h.u64(self.dp as u64);
-        h.u64(self.micro_batch);
-        h.u64(
-            (self.nonuniform_division as u64)
-                | (self.nonuniform_layers as u64) << 1
-                | (self.nonuniform_data as u64) << 2,
-        );
-        h.u64(self.grouping.max_tp as u64);
-        h.u64(self.grouping.groups.len() as u64);
+        let mut h = ConfigFingerprint::new()
+            .u64(self.global_batch_size)
+            .u64(self.num_gpus as u64)
+            .u64(self.dp as u64)
+            .u64(self.micro_batch)
+            .u64(
+                (self.nonuniform_division as u64)
+                    | (self.nonuniform_layers as u64) << 1
+                    | (self.nonuniform_data as u64) << 2,
+            )
+            .u64(self.grouping.max_tp as u64)
+            .u64(self.grouping.groups.len() as u64);
         for group in &self.grouping.groups {
-            h.u64(group.gpus.len() as u64);
+            h = h.u64(group.gpus.len() as u64);
             for gpu in &group.gpus {
-                h.u64(gpu.0 as u64);
+                h = h.u64(gpu.0 as u64);
             }
         }
         for &bits in self.group_rate_bits {
-            h.u64(bits);
+            h = h.u64(bits);
         }
         h.finish()
     }
@@ -297,26 +298,5 @@ impl CandidateMemo {
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Incremental FNV-1a hasher (same construction as
-/// `ClusterSnapshot::fingerprint`, kept dependency-free).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }

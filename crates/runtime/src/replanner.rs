@@ -117,7 +117,7 @@ impl TransportBackend {
         config: PlannerConfig,
     ) -> Result<PlannedOutcome, ServiceError> {
         let request = PlanRequest::new(self.planner.cost.coeffs.clone(), snapshot.clone(), config);
-        let outcome = self.transport.plan_routed(BackendId::Malleus, &request)?;
+        let outcome = self.transport.plan_backend(BackendId::Malleus, &request)?;
         Ok((*outcome).clone())
     }
 }
@@ -238,7 +238,7 @@ mod tests {
     struct Failing(ServiceError);
 
     impl PlanTransport for Failing {
-        fn plan_routed(
+        fn plan_backend(
             &self,
             _: BackendId,
             _: &PlanRequest,

@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn session_survives_service_backpressure_by_planning_locally() {
         use malleus_core::{BackendId, ClusterEvent, ParallelizationPlan, PlannedOutcome};
-        use malleus_service::{PlanRequest, PlanService, ServiceConfig};
+        use malleus_service::{PlanRequest, PlanService, PlanTransport, ServiceConfig};
         use std::sync::{Condvar, Mutex};
 
         /// A foreign tenant's backend that holds its execution slot until the
@@ -532,7 +532,7 @@ mod tests {
         #[derive(Debug)]
         struct Broken;
         impl PlanTransport for Broken {
-            fn plan_routed(
+            fn plan_backend(
                 &self,
                 _: BackendId,
                 _: &PlanRequest,

@@ -1,4 +1,7 @@
-//! Sharded LRU cache of completed plans (the shared L2 tier).
+//! Sharded LRU cache of completed plans — both cache tiers.  The service's
+//! shared L2 runs `shards` of them; each [`crate::PlanClient`]'s per-tenant
+//! L1 is the same type with a single shard, and drops drift-stale entries
+//! through [`ShardedPlanCache::retain`].
 //!
 //! Keys are the 64-bit [`crate::KeyedRequest::key`] fingerprint (request
 //! fingerprint mixed with the backend id and the backend's config
@@ -248,6 +251,29 @@ impl ShardedPlanCache {
         evicted
     }
 
+    /// Drop every entry whose keyed request fails `keep`, returning how many
+    /// were dropped.
+    pub fn retain(&self, mut keep: impl FnMut(&KeyedRequest) -> bool) -> u64 {
+        let mut dropped = 0;
+        for shard in &self.shards {
+            let mut shard = lock_or_poisoned(shard);
+            let mut freed = 0;
+            shard.entries.retain(|_, bucket| {
+                bucket.retain(|e| {
+                    let live = keep(&e.request);
+                    if !live {
+                        freed += e.size;
+                        dropped += 1;
+                    }
+                    live
+                });
+                !bucket.is_empty()
+            });
+            shard.bytes -= freed;
+        }
+        dropped
+    }
+
     /// Total number of cached plans across all shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_or_poisoned(s).len()).sum()
@@ -382,6 +408,21 @@ mod tests {
         assert!(cache.get(2, &b).0.is_none(), "LRU entry paid for the bytes");
         assert!(cache.get(3, &c).0.is_some());
         assert!(cache.approx_bytes() <= per_entry * 2);
+    }
+
+    #[test]
+    fn retain_drops_failing_entries_across_shards_and_frees_their_bytes() {
+        let cache = ShardedPlanCache::new(2, 8, None, None);
+        let (a, b, c) = (keyed(8), keyed(16), keyed(32));
+        cache.insert(1, a.clone(), outcome(1.0));
+        cache.insert(2, b.clone(), outcome(2.0));
+        cache.insert(1, c.clone(), outcome(3.0));
+        let dropped = cache.retain(|request| request.request.config.global_batch_size == 16);
+        assert_eq!(dropped, 2, "A and C fail the predicate, in both shards");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.approx_bytes(), approx_outcome_size(&outcome(0.0)));
+        assert!(cache.get(2, &b).0.is_some());
+        assert!(cache.get(1, &a).0.is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   construction, and baseline backends (Megatron-LM, DeepSpeed, Oobleck,
 //!   restart) can be added with [`PlanService::register_backend`] so one
 //!   deployment caches and coalesces plans for all five systems
-//!   ([`PlanService::plan_backend`]).  Metrics are broken out per backend.
+//!   ([`PlanTransport::plan_backend`]).  Metrics are broken out per backend.
 //! * **Sharded LRU plan cache** ([`cache`]) keyed by
 //!   ([`ClusterSnapshot::fingerprint`], coefficients fingerprint, config
 //!   fingerprint, [`malleus_core::BackendId`], backend config fingerprint)
@@ -51,8 +51,8 @@ use cache::ShardedPlanCache;
 use coalesce::{InFlightTable, Publication, Role};
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{
-    BackendConstructor, BackendId, GroupingCache, Parallelism, PlanBackend, PlanError, PlanOutcome,
-    PlannedOutcome, Planner, PlannerConfig,
+    BackendConstructor, BackendId, ConfigFingerprint, GroupingCache, Parallelism, PlanBackend,
+    PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig,
 };
 use malleus_model::ProfiledCoefficients;
 use std::collections::BTreeMap;
@@ -93,11 +93,11 @@ impl PlanRequest {
     /// fingerprint.  Collisions are possible; every consumer confirms with
     /// [`PlanRequest::matches`].
     pub fn key(&self) -> u64 {
-        let mut f = Fnv::new();
-        f.u64(self.snapshot.fingerprint());
-        f.u64(coeffs_fingerprint(&self.coeffs));
-        f.u64(config_fingerprint(&self.config));
-        f.finish()
+        ConfigFingerprint::new()
+            .u64(self.snapshot.fingerprint())
+            .u64(coeffs_fingerprint(&self.coeffs))
+            .u64(config_fingerprint(&self.config))
+            .finish()
     }
 
     /// Full-equality confirmation for fingerprint hits: same coefficients,
@@ -135,11 +135,11 @@ impl KeyedRequest {
     /// backend identity.  Collisions are possible; every consumer confirms
     /// with [`KeyedRequest::matches`].
     pub fn key(&self) -> u64 {
-        let mut f = Fnv::new();
-        f.u64(self.request.key());
-        f.u64(self.backend.code());
-        f.u64(self.backend_fingerprint);
-        f.finish()
+        ConfigFingerprint::new()
+            .u64(self.request.key())
+            .u64(self.backend.code())
+            .u64(self.backend_fingerprint)
+            .finish()
     }
 
     /// Full-equality confirmation for fingerprint hits.
@@ -163,100 +163,68 @@ fn config_equivalent(a: &PlannerConfig, b: &PlannerConfig) -> bool {
     a == b
 }
 
-/// Incremental FNV-1a hasher (same construction as
-/// `ClusterSnapshot::fingerprint`, kept dependency-free).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
-        for &b in bytes {
-            self.u64(b as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Structural fingerprint of a coefficient bundle (spec + hardware; the
 /// memory model is derived from the spec, and equality confirmation covers
 /// hand-constructed bundles anyway).
 fn coeffs_fingerprint(c: &ProfiledCoefficients) -> u64 {
-    let mut f = Fnv::new();
-    f.bytes(c.spec.name.as_bytes());
-    f.u64(c.spec.num_layers as u64);
-    f.u64(c.spec.hidden_size);
-    f.u64(c.spec.ffn_hidden_size);
-    f.u64(c.spec.num_heads);
-    f.u64(c.spec.num_kv_heads);
-    f.u64(c.spec.vocab_size);
-    f.u64(c.spec.seq_len);
-    f.f64(c.hardware.gpu_peak_flops);
-    f.f64(c.hardware.achievable_flops_fraction);
-    f.f64(c.hardware.gpu_memory_bytes);
-    f.f64(c.hardware.memory_reserve_bytes);
-    f.f64(c.hardware.intra_node_bandwidth);
-    f.f64(c.hardware.inter_node_bandwidth);
-    f.f64(c.hardware.collective_latency);
-    f.f64(c.hardware.checkpoint_bandwidth);
-    f.f64(c.hardware.restart_init_seconds);
-    f.finish()
+    let name = c.spec.name.as_bytes();
+    let mut f = ConfigFingerprint::new().u64(name.len() as u64);
+    for &b in name {
+        f = f.u64(u64::from(b));
+    }
+    f.u64(c.spec.num_layers as u64)
+        .u64(c.spec.hidden_size)
+        .u64(c.spec.ffn_hidden_size)
+        .u64(c.spec.num_heads)
+        .u64(c.spec.num_kv_heads)
+        .u64(c.spec.vocab_size)
+        .u64(c.spec.seq_len)
+        .f64(c.hardware.gpu_peak_flops)
+        .f64(c.hardware.achievable_flops_fraction)
+        .f64(c.hardware.gpu_memory_bytes)
+        .f64(c.hardware.memory_reserve_bytes)
+        .f64(c.hardware.intra_node_bandwidth)
+        .f64(c.hardware.inter_node_bandwidth)
+        .f64(c.hardware.collective_latency)
+        .f64(c.hardware.checkpoint_bandwidth)
+        .f64(c.hardware.restart_init_seconds)
+        .finish()
 }
 
 /// Structural fingerprint of a planner configuration, excluding the
 /// parallelism knob (see [`PlanRequest::config`]).
 fn config_fingerprint(c: &PlannerConfig) -> u64 {
-    let mut f = Fnv::new();
-    f.u64(c.global_batch_size);
-    f.u64(c.candidate_tp_degrees.len() as u64);
+    let mut f = ConfigFingerprint::new()
+        .u64(c.global_batch_size)
+        .u64(c.candidate_tp_degrees.len() as u64);
     for &tp in &c.candidate_tp_degrees {
-        f.u64(tp as u64);
+        f = f.u64(tp as u64);
     }
-    f.u64(c.candidate_micro_batch_sizes.len() as u64);
+    f = f.u64(c.candidate_micro_batch_sizes.len() as u64);
     for &b in &c.candidate_micro_batch_sizes {
-        f.u64(b);
+        f = f.u64(b);
     }
     match &c.candidate_dp {
-        None => f.u64(0),
+        None => f = f.u64(0),
         Some(dps) => {
-            f.u64(1 + dps.len() as u64);
+            f = f.u64(1 + dps.len() as u64);
             for &dp in dps {
-                f.u64(dp as u64);
+                f = f.u64(dp as u64);
             }
         }
     }
-    match c.fixed_dp {
+    f = match c.fixed_dp {
         None => f.u64(0),
-        Some(dp) => {
-            f.u64(1);
-            f.u64(dp as u64);
-        }
-    }
-    f.f64(c.straggler_threshold);
-    f.u64(
-        (c.enable_group_splitting as u64)
-            | (c.nonuniform_layers as u64) << 1
-            | (c.nonuniform_data as u64) << 2
-            | (c.nonuniform_stages as u64) << 3,
-    );
-    f.finish()
+        Some(dp) => f.u64(1).u64(dp as u64),
+    };
+    f.f64(c.straggler_threshold)
+        .u64(
+            (c.enable_group_splitting as u64)
+                | (c.nonuniform_layers as u64) << 1
+                | (c.nonuniform_data as u64) << 2
+                | (c.nonuniform_stages as u64) << 3,
+        )
+        .finish()
 }
 
 /// Sizing and backpressure knobs of a [`PlanService`].
@@ -315,7 +283,8 @@ impl ServiceConfig {
     }
 }
 
-/// Errors returned by [`PlanService::plan`].
+/// Errors returned by the [`PlanTransport`] entry points, in process and over
+/// the socket.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
     /// The planner itself failed (no feasible plan, no usable GPUs, ...).
@@ -441,7 +410,7 @@ impl std::fmt::Debug for BackendRegistry {
 }
 
 /// The multi-tenant planning service.  Cheap to share: callers typically hold
-/// it in an `Arc` and call [`PlanService::plan`] from many threads.
+/// it in an `Arc` and call [`PlanTransport::plan`] from many threads.
 #[derive(Debug)]
 pub struct PlanService {
     config: ServiceConfig,
@@ -513,22 +482,81 @@ impl PlanService {
             .collect()
     }
 
-    /// Serve one planning request.
-    ///
-    /// Fast path: a confirmed cache hit returns the shared [`PlanOutcome`]
-    /// without touching the planner.  Otherwise the request either coalesces
-    /// onto an identical in-flight computation or becomes the leader: it
-    /// acquires an admission permit (blocking in the bounded queue, shedding
-    /// load past it), invokes the planner with the service's per-plan thread
-    /// budget, stores the result in the cache and wakes every follower.
-    ///
-    /// The returned plan is byte-identical to what a direct
-    /// `Planner::plan(&request.snapshot)` call with `request.config` would
-    /// produce — caching and coalescing change who pays for the work, never
-    /// the answer.  Planner *errors* are shared with coalesced followers but
-    /// never cached, so a transient infeasibility is retried on the next
-    /// request.
-    pub fn plan(&self, request: &PlanRequest) -> Result<Arc<PlanOutcome>, ServiceError> {
+    fn compute_and_store(
+        &self,
+        key: u64,
+        keyed: &KeyedRequest,
+        instance: &dyn PlanBackend,
+        exec_config: &PlannerConfig,
+    ) -> Result<Arc<PlannedOutcome>, ServiceError> {
+        let permit = self.admission.admit();
+        let _permit = match permit {
+            Ok(p) => p,
+            Err(e) => {
+                match &e {
+                    ServiceError::AdmissionTimeout { .. } => {
+                        metrics::MetricsRecorder::bump(&self.metrics.timed_out)
+                    }
+                    _ => metrics::MetricsRecorder::bump(&self.metrics.rejected),
+                }
+                return Err(e);
+            }
+        };
+        metrics::MetricsRecorder::bump(&self.metrics.planner_invocations);
+        metrics::MetricsRecorder::bump(&self.metrics.backend(keyed.backend).planner_invocations);
+        match instance.plan(&keyed.request.snapshot, exec_config) {
+            Ok(outcome) => {
+                let outcome = Arc::new(outcome);
+                let evicted = self.cache.insert(key, keyed.clone(), Arc::clone(&outcome));
+                for _ in 0..evicted {
+                    metrics::MetricsRecorder::bump(&self.metrics.evictions);
+                }
+                Ok(outcome)
+            }
+            Err(e) => Err(ServiceError::Plan(e)),
+        }
+    }
+
+    /// Snapshot of the service counters and latency percentiles.
+    pub fn metrics(&self) -> ServiceMetrics {
+        let (active, waiting) = self.admission.depths();
+        self.metrics.snapshot(waiting, active)
+    }
+
+    /// Number of plans currently cached (diagnostics / tests).
+    pub fn cached_plans(&self) -> usize {
+        self.cache.len()
+    }
+
+    /// Approximate bytes held by the L2 plan cache (diagnostics / reports).
+    pub fn cached_bytes(&self) -> usize {
+        self.cache.approx_bytes()
+    }
+
+    /// Number of computations currently in flight (diagnostics / tests).
+    pub fn inflight_plans(&self) -> usize {
+        self.inflight.len()
+    }
+}
+
+/// Transport-agnostic planning surface: the runtime's `TransportBackend`
+/// (a training session's service route) plans through a
+/// `dyn PlanTransport` and does not care whether the
+/// implementation is the in-process [`PlanService`] or a socket-backed
+/// [`PlanClient`] talking to a standalone daemon — both return byte-identical
+/// plans by the service's determinism contract.
+pub trait PlanTransport: Send + Sync + std::fmt::Debug {
+    /// Serve one planning request through the named backend.
+    fn plan_backend(
+        &self,
+        backend: BackendId,
+        request: &PlanRequest,
+    ) -> Result<Arc<PlannedOutcome>, ServiceError>;
+
+    /// Serve one planning request through the Malleus planner:
+    /// [`PlanTransport::plan_backend`] specialized to [`BackendId::Malleus`],
+    /// unwrapped to its [`PlanOutcome`].
+    fn plan(&self, request: &PlanRequest) -> Result<Arc<PlanOutcome>, ServiceError> {
         let planned = self.plan_backend(BackendId::Malleus, request)?;
         planned
             .malleus
@@ -537,16 +565,27 @@ impl PlanService {
                 reason: "Malleus backend produced an outcome without a PlanOutcome".into(),
             })
     }
+}
 
-    /// Serve one planning request through an arbitrary registered backend.
+impl PlanTransport for PlanService {
+    /// Serve one planning request through a registered backend.
     ///
-    /// Same caching/coalescing/admission discipline as [`PlanService::plan`]
-    /// (which is this method specialized to [`BackendId::Malleus`]), but the
-    /// result is the backend-neutral [`PlannedOutcome`], and the cache key
-    /// includes the backend id and its config fingerprint so backends never
-    /// share cache lines.  Per-backend counters land in
-    /// [`ServiceMetrics::per_backend`].
-    pub fn plan_backend(
+    /// Fast path: a confirmed cache hit returns the shared outcome without
+    /// touching the planner.  Otherwise the request either coalesces onto an
+    /// identical in-flight computation or becomes the leader: it acquires an
+    /// admission permit (blocking in the bounded queue, shedding load past
+    /// it), invokes the backend with the service's per-plan thread budget,
+    /// stores the result in the cache and wakes every follower.
+    ///
+    /// The returned plan is byte-identical to what a direct
+    /// `PlanBackend::plan(&request.snapshot, &request.config)` call would
+    /// produce — caching and coalescing change who pays for the work, never
+    /// the answer.  Planner *errors* are shared with coalesced followers but
+    /// never cached, so a transient infeasibility is retried on the next
+    /// request.  The cache key includes the backend id and its config
+    /// fingerprint so backends never share cache lines; per-backend counters
+    /// land in [`ServiceMetrics::per_backend`].
+    fn plan_backend(
         &self,
         backend: BackendId,
         request: &PlanRequest,
@@ -643,87 +682,6 @@ impl PlanService {
             .record_service_time(start.elapsed().as_secs_f64());
         result
     }
-
-    fn compute_and_store(
-        &self,
-        key: u64,
-        keyed: &KeyedRequest,
-        instance: &dyn PlanBackend,
-        exec_config: &PlannerConfig,
-    ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        let permit = self.admission.admit();
-        let _permit = match permit {
-            Ok(p) => p,
-            Err(e) => {
-                match &e {
-                    ServiceError::AdmissionTimeout { .. } => {
-                        metrics::MetricsRecorder::bump(&self.metrics.timed_out)
-                    }
-                    _ => metrics::MetricsRecorder::bump(&self.metrics.rejected),
-                }
-                return Err(e);
-            }
-        };
-        metrics::MetricsRecorder::bump(&self.metrics.planner_invocations);
-        metrics::MetricsRecorder::bump(&self.metrics.backend(keyed.backend).planner_invocations);
-        match instance.plan(&keyed.request.snapshot, exec_config) {
-            Ok(outcome) => {
-                let outcome = Arc::new(outcome);
-                let evicted = self.cache.insert(key, keyed.clone(), Arc::clone(&outcome));
-                for _ in 0..evicted {
-                    metrics::MetricsRecorder::bump(&self.metrics.evictions);
-                }
-                Ok(outcome)
-            }
-            Err(e) => Err(ServiceError::Plan(e)),
-        }
-    }
-
-    /// Snapshot of the service counters and latency percentiles.
-    pub fn metrics(&self) -> ServiceMetrics {
-        let (active, waiting) = self.admission.depths();
-        self.metrics.snapshot(waiting, active)
-    }
-
-    /// Number of plans currently cached (diagnostics / tests).
-    pub fn cached_plans(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Approximate bytes held by the L2 plan cache (diagnostics / reports).
-    pub fn cached_bytes(&self) -> usize {
-        self.cache.approx_bytes()
-    }
-
-    /// Number of computations currently in flight (diagnostics / tests).
-    pub fn inflight_plans(&self) -> usize {
-        self.inflight.len()
-    }
-}
-
-/// Transport-agnostic planning surface: the runtime's `TransportBackend`
-/// (a training session's service route) plans through a
-/// `dyn PlanTransport` and does not care whether the
-/// implementation is the in-process [`PlanService`] or a socket-backed
-/// [`PlanClient`] talking to a standalone daemon — both return byte-identical
-/// plans by the service's determinism contract.
-pub trait PlanTransport: Send + Sync + std::fmt::Debug {
-    /// Serve one planning request through the named backend.
-    fn plan_routed(
-        &self,
-        backend: BackendId,
-        request: &PlanRequest,
-    ) -> Result<Arc<PlannedOutcome>, ServiceError>;
-}
-
-impl PlanTransport for PlanService {
-    fn plan_routed(
-        &self,
-        backend: BackendId,
-        request: &PlanRequest,
-    ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        self.plan_backend(backend, request)
-    }
 }
 
 #[cfg(test)]
@@ -772,6 +730,9 @@ mod tests {
         let c = small_request(2.57);
         assert_ne!(a.key(), c.key());
         assert!(!a.matches(&c));
+        // Pinned value: the key is stable across releases and refactors of
+        // the hasher (FNV-1a, byte-wise, little-endian words).
+        assert_eq!(a.key(), 0x8dc3_6d93_36f8_1c6b);
     }
 
     #[test]

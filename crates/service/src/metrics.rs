@@ -173,7 +173,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Point-in-time snapshot of the service's health and cache effectiveness.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceMetrics {
-    /// Total requests accepted by [`crate::PlanService::plan`].
+    /// Total requests accepted by the service (every [`crate::PlanTransport`] call).
     pub requests: u64,
     /// Requests answered from the plan cache.
     pub hits: u64,

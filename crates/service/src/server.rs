@@ -9,10 +9,11 @@
 //!   TrainingSession ──▶ PlanClient ──frame──▶ PlanServer ──▶ PlanService
 //!                        │  L1 cache            bounded        │ admission
 //!                        │  (per-tenant,        thread-per-    │ coalescing
-//!                        │   drift+TTL+size     connection     │ backend registry
-//!                        │   invalidation)      pool           ▼
-//!                        ▼                                   shared L2 cache
-//!                      hit ⇒ no syscall                     (sharded LRU+TTL+bytes)
+//!                        │   one-shard          connection     │ backend registry
+//!                        │   ShardedPlanCache   pool           ▼
+//!                        │   + drift eviction)               shared L2 cache
+//!                        ▼                                   (ShardedPlanCache:
+//!                      hit ⇒ no syscall                       LRU+TTL+bytes)
 //! ```
 //!
 //! * [`PlanServer`] — a blocking `TcpListener` / Unix-socket daemon.  Each
@@ -20,16 +21,17 @@
 //!   ([`ServerConfig::max_connections`]); requests decode into the same
 //!   [`KeyedRequest`] the in-process service keys on and route through the
 //!   existing admission gate, coalescer, backend registry and sharded L2
-//!   cache via [`PlanService::plan_backend`].  A malformed payload gets a
+//!   cache via [`PlanTransport::plan_backend`].  A malformed payload gets a
 //!   typed [`ServiceError::Transport`] response (connection survives); a
 //!   framing violation closes the connection; a planner panic is caught and
 //!   answered with [`ServiceError::Internal`].
 //! * [`PlanClient`] — the tenant-side handle.  It implements
 //!   [`PlanTransport`], so `TrainingSession::with_remote` drives the daemon
 //!   through exactly the interface it uses for an in-process service, and
-//!   keeps a per-tenant **L1 cache** in front of the shared L2: entries
-//!   expire by TTL, are bounded by entry count and approximate bytes, and
-//!   are **drift-invalidated** — every call evicts entries whose snapshot
+//!   keeps a per-tenant **L1 cache** in front of the shared L2.  The L1 is
+//!   the L2's own type, a `ShardedPlanCache` with one shard
+//!   (same LRU, TTL and byte budget, same collision buckets), and it is
+//!   **drift-invalidated** — every call evicts entries whose snapshot
 //!   has shifted more than [`ClientConfig::drift_threshold`] (the paper's 5%
 //!   replan trigger) relative to the live snapshot being planned for, so a
 //!   stale plan for a cluster that has meaningfully drifted is never served
@@ -44,15 +46,14 @@
 //! facade's `tests/remote_equivalence.rs` proves it across the S1–S6
 //! transitions.
 
+use crate::cache::ShardedPlanCache;
 use crate::sync::{lock_or_poisoned, wait_or_poisoned};
 use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError};
-use malleus_cluster::ClusterSnapshot;
-use malleus_core::{BackendId, PlanError, PlanOutcome, PlannedOutcome};
+use malleus_core::{BackendId, PlanError, PlannedOutcome};
 use malleus_wire::{
     from_bytes, read_frame, read_frame_opt, to_bytes, write_frame, Decoder, Encoder, Wire,
     WireError, DEFAULT_MAX_FRAME_LEN,
 };
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -62,7 +63,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Wire impls for the service types (the codec crate cannot implement these:
@@ -511,13 +512,14 @@ fn serve_connection(service: &PlanService, mut conn: Conn, max_frame_len: usize)
 /// Client-side knobs: the L1 tier and the transport cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
-    /// Maximum entries in the per-tenant L1 cache.
+    /// Maximum entries in the per-tenant L1 cache; `0` disables the L1, so
+    /// every call reaches the daemon.
     pub l1_capacity: usize,
     /// Time-to-live of L1 entries (`None` disables TTL expiry).
     pub l1_ttl: Option<Duration>,
     /// Approximate byte budget of the L1 (`None` disables size-aware
-    /// eviction).  Sizes are the encoded response payload lengths — the
-    /// exact bytes that crossed the wire.
+    /// eviction).  Entries are sized with the L2's resident-size model
+    /// (`approx_outcome_size` in the cache module), not by payload length.
     pub l1_max_bytes: Option<usize>,
     /// Drift-invalidation threshold: cached entries whose snapshot has
     /// shifted more than this (relative, per GPU) against the live snapshot
@@ -557,7 +559,7 @@ pub struct L1Stats {
     pub evictions: u64,
     /// Entries currently resident.
     pub resident: usize,
-    /// Approximate resident bytes (encoded-payload sizes).
+    /// Approximate resident bytes (the cache's resident-size model).
     pub approx_bytes: usize,
 }
 
@@ -568,193 +570,6 @@ impl L1Stats {
             0.0
         } else {
             self.hits as f64 / self.requests as f64
-        }
-    }
-}
-
-#[derive(Debug)]
-struct L1Entry {
-    request: KeyedRequest,
-    outcome: Arc<PlannedOutcome>,
-    last_used: u64,
-    inserted: Instant,
-    size: usize,
-}
-
-#[derive(Debug, Default)]
-struct L1Inner {
-    entries: HashMap<u64, Vec<L1Entry>>,
-    clock: u64,
-    bytes: usize,
-    requests: u64,
-    hits: u64,
-    misses: u64,
-    expired: u64,
-    drift_evicted: u64,
-    evictions: u64,
-}
-
-impl L1Inner {
-    fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
-    }
-
-    fn evict_lru(&mut self) -> bool {
-        let victim = self
-            .entries
-            .iter()
-            .flat_map(|(k, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, e)| (e.last_used, *k, i))
-            })
-            .min();
-        let Some((_, key, index)) = victim else {
-            return false;
-        };
-        let Some(bucket) = self.entries.get_mut(&key) else {
-            return false;
-        };
-        let removed = bucket.remove(index);
-        self.bytes -= removed.size;
-        if bucket.is_empty() {
-            self.entries.remove(&key);
-        }
-        true
-    }
-}
-
-/// The per-tenant L1 plan cache (single mutex: one tenant, low fan-in).
-#[derive(Debug)]
-struct L1Cache {
-    inner: Mutex<L1Inner>,
-    capacity: usize,
-    ttl: Option<Duration>,
-    max_bytes: Option<usize>,
-}
-
-impl L1Cache {
-    fn new(config: &ClientConfig) -> Self {
-        Self {
-            inner: Mutex::new(L1Inner::default()),
-            capacity: config.l1_capacity,
-            ttl: config.l1_ttl,
-            max_bytes: config.l1_max_bytes,
-        }
-    }
-
-    /// Evict every entry whose snapshot has drifted past `threshold`
-    /// relative to the live snapshot (structural changes — different GPU
-    /// count or availability — always count as drifted).
-    fn invalidate_drifted(&self, live: &ClusterSnapshot, threshold: f64) {
-        let mut inner = lock_or_poisoned(&self.inner);
-        let mut freed = 0usize;
-        let mut evicted = 0u64;
-        for bucket in inner.entries.values_mut() {
-            bucket.retain(|entry| {
-                let snapshot = &entry.request.request.snapshot;
-                let stale =
-                    !snapshot.same_structure(live) || snapshot.max_relative_shift(live) > threshold;
-                if stale {
-                    freed += entry.size;
-                    evicted += 1;
-                }
-                !stale
-            });
-        }
-        inner.entries.retain(|_, bucket| !bucket.is_empty());
-        inner.bytes -= freed;
-        inner.drift_evicted += evicted;
-    }
-
-    fn get(&self, key: u64, keyed: &KeyedRequest) -> Option<Arc<PlannedOutcome>> {
-        let mut inner = lock_or_poisoned(&self.inner);
-        inner.requests += 1;
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(ttl) = self.ttl {
-            let cutoff = Instant::now();
-            let mut freed = 0usize;
-            let mut expired = 0u64;
-            if let Some(bucket) = inner.entries.get_mut(&key) {
-                bucket.retain(|e| {
-                    let live = cutoff.duration_since(e.inserted) < ttl;
-                    if !live {
-                        freed += e.size;
-                        expired += 1;
-                    }
-                    live
-                });
-                if bucket.is_empty() {
-                    inner.entries.remove(&key);
-                }
-            }
-            inner.bytes -= freed;
-            inner.expired += expired;
-        }
-        let hit = inner
-            .entries
-            .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.request.matches(keyed)))
-            .map(|entry| {
-                entry.last_used = now;
-                Arc::clone(&entry.outcome)
-            });
-        match &hit {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
-        }
-        hit
-    }
-
-    fn insert(&self, key: u64, request: KeyedRequest, outcome: Arc<PlannedOutcome>, size: usize) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = lock_or_poisoned(&self.inner);
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(bucket) = inner.entries.get_mut(&key) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.request.matches(&request)) {
-                let old = entry.size;
-                entry.outcome = outcome;
-                entry.last_used = now;
-                entry.inserted = Instant::now();
-                entry.size = size;
-                inner.bytes = inner.bytes - old + size;
-                return;
-            }
-        }
-        while inner.len() >= self.capacity && inner.evict_lru() {
-            inner.evictions += 1;
-        }
-        if let Some(budget) = self.max_bytes {
-            while inner.len() > 0 && inner.bytes + size > budget && inner.evict_lru() {
-                inner.evictions += 1;
-            }
-        }
-        inner.bytes += size;
-        inner.entries.entry(key).or_default().push(L1Entry {
-            request,
-            outcome,
-            last_used: now,
-            inserted: Instant::now(),
-            size,
-        });
-    }
-
-    fn stats(&self) -> L1Stats {
-        let inner = lock_or_poisoned(&self.inner);
-        L1Stats {
-            requests: inner.requests,
-            hits: inner.hits,
-            misses: inner.misses,
-            expired: inner.expired,
-            drift_evicted: inner.drift_evicted,
-            evictions: inner.evictions,
-            resident: inner.len(),
-            approx_bytes: inner.bytes,
         }
     }
 }
@@ -773,7 +588,10 @@ fn transport_error(what: impl std::fmt::Display) -> ServiceError {
 pub struct PlanClient {
     endpoint: Endpoint,
     stream: Mutex<Conn>,
-    l1: L1Cache,
+    /// The per-tenant L1: one shard, so its LRU order spans every entry.
+    l1: ShardedPlanCache,
+    /// L1 counters; `resident` and `approx_bytes` are read off `l1` instead.
+    l1_counters: Mutex<L1Stats>,
     config: ClientConfig,
 }
 
@@ -782,12 +600,7 @@ impl PlanClient {
     pub fn connect_tcp(addr: SocketAddr, config: ClientConfig) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Self {
-            endpoint: Endpoint::Tcp(addr),
-            stream: Mutex::new(Conn::Tcp(stream)),
-            l1: L1Cache::new(&config),
-            config,
-        })
+        Ok(Self::new(Endpoint::Tcp(addr), Conn::Tcp(stream), config))
     }
 
     /// Connect to a Unix-domain-socket daemon.
@@ -795,12 +608,17 @@ impl PlanClient {
     pub fn connect_unix(path: impl Into<PathBuf>, config: ClientConfig) -> io::Result<Self> {
         let path = path.into();
         let stream = UnixStream::connect(&path)?;
-        Ok(Self {
-            endpoint: Endpoint::Unix(path),
-            stream: Mutex::new(Conn::Unix(stream)),
-            l1: L1Cache::new(&config),
+        Ok(Self::new(Endpoint::Unix(path), Conn::Unix(stream), config))
+    }
+
+    fn new(endpoint: Endpoint, conn: Conn, config: ClientConfig) -> Self {
+        Self {
+            endpoint,
+            stream: Mutex::new(conn),
+            l1: ShardedPlanCache::new(1, config.l1_capacity, config.l1_ttl, config.l1_max_bytes),
+            l1_counters: Mutex::new(L1Stats::default()),
             config,
-        })
+        }
     }
 
     /// The daemon this client is connected to.
@@ -810,58 +628,13 @@ impl PlanClient {
 
     /// Counters of the local L1 tier.
     pub fn l1_stats(&self) -> L1Stats {
-        self.l1.stats()
-    }
-
-    /// Plan through the daemon with L1-over-L2 caching: drift-stale entries
-    /// are invalidated against `request.snapshot` (the live cluster), then a
-    /// confirmed L1 hit short-circuits the socket entirely; otherwise one
-    /// framed roundtrip hits the daemon's shared L2/planner and the response
-    /// lands in L1.
-    pub fn plan_backend(
-        &self,
-        backend: BackendId,
-        request: &PlanRequest,
-    ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        // The snapshot being planned for IS the live cluster state; anything
-        // cached for a snapshot that drifted ≥ threshold from it is exactly
-        // what the paper's replan trigger says must not be reused.
-        self.l1
-            .invalidate_drifted(&request.snapshot, self.config.drift_threshold);
-        let keyed = KeyedRequest {
-            backend,
-            // Advisory on the wire: the daemon recomputes the authoritative
-            // fingerprint from its own constructor.  L1 keying is consistent
-            // because every entry of this client uses the same convention.
-            backend_fingerprint: 0,
-            request: request.clone(),
-        };
-        let key = keyed.key();
-        if let Some(outcome) = self.l1.get(key, &keyed) {
-            return Ok(outcome);
+        let (resident, approx_bytes) = (self.l1.len(), self.l1.approx_bytes());
+        let counters = *lock_or_poisoned(&self.l1_counters);
+        L1Stats {
+            resident,
+            approx_bytes,
+            ..counters
         }
-        let payload = self.roundtrip(&keyed)?;
-        match from_bytes::<PlanResponse>(&payload).map_err(transport_error)? {
-            PlanResponse::Outcome(outcome) => {
-                let outcome = Arc::new(outcome);
-                self.l1
-                    .insert(key, keyed, Arc::clone(&outcome), payload.len());
-                Ok(outcome)
-            }
-            PlanResponse::Error(err) => Err(err),
-        }
-    }
-
-    /// Malleus convenience route (the remote analogue of
-    /// [`PlanService::plan`]).
-    pub fn plan(&self, request: &PlanRequest) -> Result<Arc<PlanOutcome>, ServiceError> {
-        let planned = self.plan_backend(BackendId::Malleus, request)?;
-        planned
-            .malleus
-            .clone()
-            .ok_or_else(|| ServiceError::Internal {
-                reason: "Malleus backend produced an outcome without a PlanOutcome".into(),
-            })
     }
 
     fn roundtrip(&self, keyed: &KeyedRequest) -> Result<Vec<u8>, ServiceError> {
@@ -877,12 +650,61 @@ impl PlanClient {
 }
 
 impl PlanTransport for PlanClient {
-    fn plan_routed(
+    /// Plan through the daemon with L1-over-L2 caching: drift-stale entries
+    /// are invalidated against `request.snapshot` (the live cluster), then a
+    /// confirmed L1 hit short-circuits the socket entirely; otherwise one
+    /// framed roundtrip hits the daemon's shared L2/planner and the response
+    /// lands in L1.
+    fn plan_backend(
         &self,
         backend: BackendId,
         request: &PlanRequest,
     ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        self.plan_backend(backend, request)
+        // The snapshot being planned for IS the live cluster state; anything
+        // cached for a snapshot that drifted ≥ threshold from it is exactly
+        // what the paper's replan trigger says must not be reused.
+        // Structural changes (GPU count or availability) always count as
+        // drifted.
+        let live = &request.snapshot;
+        let drift_evicted = self.l1.retain(|cached| {
+            let snapshot = &cached.request.snapshot;
+            let stale = !snapshot.same_structure(live)
+                || snapshot.max_relative_shift(live) > self.config.drift_threshold;
+            !stale
+        });
+        let keyed = KeyedRequest {
+            backend,
+            // Advisory on the wire: the daemon recomputes the authoritative
+            // fingerprint from its own constructor.  L1 keying is consistent
+            // because every entry of this client uses the same convention.
+            backend_fingerprint: 0,
+            request: request.clone(),
+        };
+        let key = keyed.key();
+        let (hit, expired) = self.l1.get(key, &keyed);
+        {
+            let mut stats = lock_or_poisoned(&self.l1_counters);
+            stats.requests += 1;
+            stats.drift_evicted += drift_evicted;
+            stats.expired += expired;
+            match hit {
+                Some(_) => stats.hits += 1,
+                None => stats.misses += 1,
+            }
+        }
+        if let Some(outcome) = hit {
+            return Ok(outcome);
+        }
+        let payload = self.roundtrip(&keyed)?;
+        match from_bytes::<PlanResponse>(&payload).map_err(transport_error)? {
+            PlanResponse::Outcome(outcome) => {
+                let outcome = Arc::new(outcome);
+                let evicted = self.l1.insert(key, keyed, Arc::clone(&outcome));
+                lock_or_poisoned(&self.l1_counters).evictions += evicted;
+                Ok(outcome)
+            }
+            PlanResponse::Error(err) => Err(err),
+        }
     }
 }
 
@@ -1068,6 +890,43 @@ mod tests {
             "drifted entries must be evicted, got {stats:?}"
         );
         assert_eq!(stats.resident, 1, "only the live-snapshot plan remains");
+    }
+
+    #[test]
+    fn l1_capacity_zero_disables_the_l1_and_one_holds_a_single_entry() {
+        let (service, _server, addr) = spawn_server();
+        let disabled = ClientConfig {
+            l1_capacity: 0,
+            ..ClientConfig::default()
+        };
+        let client = PlanClient::connect_tcp(addr, disabled).expect("connect");
+        let request = small_request(1.0);
+        for _ in 0..3 {
+            client.plan(&request).expect("remote plan");
+        }
+        let stats = client.l1_stats();
+        assert_eq!((stats.requests, stats.hits, stats.misses), (3, 0, 3));
+        assert_eq!(stats.resident, 0);
+        assert_eq!(
+            service.metrics().requests,
+            3,
+            "every call reaches the daemon"
+        );
+
+        let single = ClientConfig {
+            l1_capacity: 1,
+            ..ClientConfig::default()
+        };
+        let client = PlanClient::connect_tcp(addr, single).expect("connect");
+        let mut other = small_request(1.0);
+        other.config.global_batch_size = 16;
+        client.plan(&request).expect("first request");
+        client.plan(&other).expect("second, distinct request");
+        let stats = client.l1_stats();
+        assert_eq!(stats.evictions, 1, "the second request evicts the first");
+        assert_eq!(stats.resident, 1);
+        client.plan(&other).expect("resident request");
+        assert_eq!(client.l1_stats().hits, 1, "the survivor is the second");
     }
 
     #[test]

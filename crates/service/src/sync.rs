@@ -2,8 +2,8 @@
 //! panic-path lint accepts for mutex acquisition in request-serving code.
 //!
 //! Recovery semantics: every mutex-protected structure in this crate (cache
-//! shards, the L1 map, metric rings, the backend registry, connection-slot
-//! counters) is valid at each intermediate point of its critical sections —
+//! shards of both tiers, the client's L1 counters, metric rings, the backend
+//! registry, connection-slot counters) is valid at each intermediate point of its critical sections —
 //! state is mutated with plain assignments and collection ops that cannot be
 //! observed half-applied once the lock is released.  A panic while holding
 //! one of these locks therefore leaves consistent state behind, and the

@@ -5,7 +5,7 @@
 use malleus_cluster::{Cluster, GpuId};
 use malleus_core::{Planner, PlannerConfig};
 use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
-use malleus_service::{PlanRequest, PlanService, ServiceConfig};
+use malleus_service::{PlanRequest, PlanService, PlanTransport, ServiceConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 

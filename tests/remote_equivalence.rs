@@ -53,12 +53,12 @@ fn fresh_client() -> PlanClient {
 struct Strict(PlanClient);
 
 impl PlanTransport for Strict {
-    fn plan_routed(
+    fn plan_backend(
         &self,
         backend: BackendId,
         request: &PlanRequest,
     ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        let served = self.0.plan_routed(backend, request);
+        let served = self.0.plan_backend(backend, request);
         if let Err(e) = &served {
             assert!(
                 matches!(e, ServiceError::Plan(_)),
